@@ -1,80 +1,76 @@
 #!/usr/bin/env python3
-"""Benchmark the Schur-accumulation kernels (compiled vs NumPy fallback).
+"""Benchmark Schur-complement assembly: structured slot kernel vs pairwise.
 
-Builds synthetic workloads shaped like the solver's real ones: many
-same-size LMI blocks whose expanded coefficient entries hit a dense scaling
-matrix. The large configuration mirrors one interior-point iteration of the
-day-ahead market experiment (90 blocks of size 73, ~1350 entries each,
-~700 variables).
+Times one interior-point iteration's normal matrix H for the robust CVaR
+SDP at the day-ahead shape (n = m = 24) with N = 6, 30 and 90 atoms, so
+73 x 73 atom blocks of about 2400 expanded entries each.  Every block gets
+a random well-conditioned PSD scaling matrix.  "structured" is the
+solver's assembly (two GEMMs per slot group, the pairwise kernel for the
+few entries outside the slot); "pairwise" runs the pairwise kernel over
+every expanded entry.  Reports the best time of the repeats and the
+maximum relative difference of H.
 
-Usage: python benchmarks/bench_schur.py [--repeats N]
+Usage: PYTHONPATH=src python benchmarks/bench_schur.py [--repeats N]
 """
 import argparse
 import time
 
 import numpy as np
 
-from drcvar import kernels
-from drcvar.kernels import _schur_np
-
-COMPILED = None
-if kernels.HAVE_COMPILED:
-    from drcvar.kernels import _schur_cy as COMPILED
+from drcvar import conic
+from drcvar.kernels import schur_accumulate
+from drcvar.model import EmpiricalDistribution, RiskSpec
+from drcvar.sdp import build_drcvar_sdp
 
 
-def make_workload(rng, k_total, size, entries, blocks):
-    work = []
-    for _ in range(blocks):
-        var = np.sort(rng.integers(0, k_total, entries)).astype(np.int32)
-        p = rng.integers(0, size, entries).astype(np.int32)
-        q = rng.integers(0, size, entries).astype(np.int32)
-        v = rng.standard_normal(entries)
-        base = rng.standard_normal((size, size))
-        u = np.ascontiguousarray(base @ base.T + size * np.eye(size))
-        work.append((u, var, p, q, v))
-    return work
+def pairwise(problem, groups, u_w):
+    h = np.zeros((problem.num_vars, problem.num_vars))
+    for gi, g in enumerate(groups):
+        for local, j in enumerate(g.idxs):
+            schur_accumulate(h, u_w[gi][local], *problem.blocks[j].expanded())
+    h += np.tril(h, -1).T
+    return h
 
 
-def run(impl, work, k_total, repeats):
+def structured(problem, groups, u_w):
+    return conic._normal_matrix(groups, u_w, problem.num_vars)
+
+
+def best_of(fn, repeats, *args):
     times = []
     for _ in range(repeats):
-        h = np.zeros((k_total, k_total))
         t0 = time.perf_counter()
-        for u, var, p, q, v in work:
-            impl(h, u, var, p, q, v)
+        h = fn(*args)
         times.append(time.perf_counter() - t0)
     return min(times), h
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
-    configs = [
-        ("small  (K=34,  s=10, T=120,  20 blocks)", 34, 10, 120, 20),
-        ("medium (K=200, s=30, T=500,  40 blocks)", 200, 30, 500, 40),
-        ("large  (K=694, s=73, T=1350, 90 blocks)", 694, 73, 1350, 90),
-    ]
+    n = m = 24
     rng = np.random.default_rng(0)
-    print(f"compiled kernel available: {kernels.HAVE_COMPILED}")
-    header = f"{'config':44s} {'numpy':>10s} {'compiled':>10s} {'speedup':>8s}"
+    header = (f"{'N':>4s} {'vars':>5s} {'structured':>11s} {'pairwise':>11s} "
+              f"{'speedup':>8s} {'max rel diff':>13s}")
     print(header)
     print("-" * len(header))
-    for name, k_total, size, entries, blocks in configs:
-        work = make_workload(rng, k_total, size, entries, blocks)
-        t_np, h_np = run(_schur_np.schur_accumulate, work, k_total,
-                         args.repeats)
-        if COMPILED is not None:
-            t_cy, h_cy = run(COMPILED.schur_accumulate, work, k_total,
-                             args.repeats)
-            err = float(np.max(np.abs(h_cy - h_np)))
-            rel = err / max(1.0, float(np.max(np.abs(h_np))))
-            assert rel < 1e-12, f"kernel mismatch: {rel}"
-            print(f"{name:44s} {t_np*1e3:9.2f}ms {t_cy*1e3:9.2f}ms "
-                  f"{t_np/t_cy:7.2f}x")
-        else:
-            print(f"{name:44s} {t_np*1e3:9.2f}ms {'-':>10s} {'-':>8s}")
+    for big_n in (6, 30, 90):
+        dist = EmpiricalDistribution(
+            atoms=rng.standard_normal((big_n, n + m)), n=n, m=m)
+        problem = build_drcvar_sdp(dist, RiskSpec(alpha=0.1, radius=0.01))
+        groups = conic._build_groups(problem)
+        u_w = []
+        for g in groups:
+            base = rng.standard_normal((g.count, g.size, g.size))
+            u_w.append(base @ base.transpose(0, 2, 1)
+                       + g.size * np.eye(g.size))
+        t_st, h_st = best_of(structured, args.repeats, problem, groups, u_w)
+        t_pw, h_pw = best_of(pairwise, args.repeats, problem, groups, u_w)
+        rel = float(np.max(np.abs(h_st - h_pw)) / np.max(np.abs(h_pw)))
+        print(f"{big_n:4d} {problem.num_vars:5d} {t_st * 1e3:9.1f}ms "
+              f"{t_pw * 1e3:9.1f}ms {t_pw / t_st:7.1f}x {rel:13.1e}")
 
 
 if __name__ == "__main__":

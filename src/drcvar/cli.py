@@ -294,7 +294,7 @@ def _build_parser() -> _Parser:
         prog="drcvar",
         description="Distributionally robust CVaR-optimal affine estimation.",
         epilog="Environment: DRCVAR_TOL_PROFILE={strict,fast} selects solver "
-               "tolerances; DRCVAR_PURE_PYTHON=1 disables the compiled kernel.",
+               "tolerances.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -8,7 +8,10 @@ predictor-corrector step, and a dense normal-equations (Schur-complement)
 solve whose assembly is delegated to :mod:`drcvar.kernels`.  Dense linear
 algebra throughout; blocks of equal size are processed as stacked arrays so
 the per-block factorizations hit batched LAPACK calls instead of Python
-loops.
+loops.  Blocks that also declare the same matrix-variable slot
+(:class:`drcvar.sdp.MatrixSlot`) share a stack, whose slot part of the
+normal matrix is assembled by ``schur_slot`` in a few GEMMs; the remaining
+entries of each block go through the pairwise ``schur_accumulate``.
 Determinism over scalability: sized for problems up to a few hundred
 variables and blocks below ~100x100.
 
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .kernels import schur_accumulate
+from .kernels import schur_accumulate, schur_slot
 from .sdp import SdpProblem
 
 _DIVERGENCE_FACTOR = 1e8
@@ -53,7 +56,6 @@ class SolverSettings:
     tol_feas: float = 1e-8
     max_iter: int = 200
     step_fraction: float = 0.99
-    verbose: bool = False
 
     def __post_init__(self):
         if self.tol_gap <= 0.0 or self.tol_feas <= 0.0:
@@ -80,24 +82,27 @@ class SdpSolution:
 
 
 class _Group:
-    """All blocks of one size, stacked for batched linear algebra.
+    """All blocks of one size and slot, stacked for batched linear algebra.
 
     Sparse coefficient entries of the member blocks are concatenated with
     their flat positions offset per member, so evaluating the affine map or
-    its adjoint over the whole group is one scatter or gather.
+    its adjoint over the whole group is one scatter or gather.  When the
+    members declare a slot, its rows, the stacked C matrices and the
+    members' entries outside the slot are kept for the Schur assembly.
     """
 
     __slots__ = ("size", "idxs", "count", "m0", "var", "flat", "v",
-                 "kvar", "kp", "kq", "kv", "starts")
+                 "kvar", "kp", "kq", "kv", "slot", "cols", "pairwise",
+                 "others")
 
     def __init__(self, size, idxs, blocks):
         self.size = size
         self.idxs = idxs
         self.count = len(idxs)
         self.m0 = np.stack([blocks[j].dense_constant() for j in idxs])
+        self.slot = blocks[idxs[0]].slot
         var_parts, flat_parts, v_parts = [], [], []
-        kvar, kp, kq, kv, starts = [], [], [], [], []
-        pos = 0
+        kvar, kp, kq, kv, pairwise = [], [], [], [], []
         for local, j in enumerate(idxs):
             var, p, q, v = blocks[j].expanded()
             var_parts.append(var.astype(np.int64))
@@ -108,17 +113,28 @@ class _Group:
             kp.append(p)
             kq.append(q)
             kv.append(v)
-            starts.append(pos)
-            pos += var.shape[0]
+            keep = slice(None)
+            if self.slot is not None:
+                keep = ((var < self.slot.offset)
+                        | (var >= self.slot.offset + self.slot.num_vars))
+            pairwise.append((var[keep], p[keep], q[keep], v[keep]))
         self.var = np.concatenate(var_parts)
         self.flat = np.concatenate(flat_parts)
         self.v = np.concatenate(v_parts)
-        # per-member views for the Schur kernel
+        # per-member full entries for the Gram rebuild
         self.kvar = kvar
         self.kp = kp
         self.kq = kq
         self.kv = kv
-        self.starts = starts
+        # per-member entries outside the slot for the pairwise kernel
+        self.pairwise = pairwise
+        self.cols = self.others = None
+        if self.slot is not None:
+            self.cols = np.stack([blocks[j].slot.cols for j in idxs])
+            member = np.concatenate([np.full(e[0].shape[0], local)
+                                     for local, e in enumerate(pairwise)])
+            self.others = (member,) + tuple(
+                np.concatenate(parts) for parts in zip(*pairwise))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """(count, s, s) stack of sum_k x_k Mk over member blocks."""
@@ -134,19 +150,43 @@ class _Group:
 
 
 def _build_groups(problem: SdpProblem) -> list[_Group]:
-    by_size: dict[int, list[int]] = {}
+    by_key: dict[tuple, list[int]] = {}
     for j, blk in enumerate(problem.blocks):
-        by_size.setdefault(blk.size, []).append(j)
-    return [_Group(size, idxs, problem.blocks)
-            for size, idxs in sorted(by_size.items())]
+        # a stack shares the slot's offset, rows and width; C may differ
+        slot = blk.slot
+        slot_key = None if slot is None else (
+            slot.offset, tuple(slot.rows.tolist()), slot.cols.shape[1])
+        by_key.setdefault((blk.size, slot_key), []).append(j)
+    ordered = sorted(by_key.items(), key=lambda item: item[0][0])
+    return [_Group(key[0], idxs, problem.blocks) for key, idxs in ordered]
+
+
+def _normal_matrix(groups, u_w, k_total):
+    """Normal matrix H[k,l] = sum_j <Mk, W_j^-1 Ml W_j^-1>, both triangles.
+
+    ``u_w`` holds the (count, s, s) stack of W^-1 per group.  The pairwise
+    kernel is called through this module's ``schur_accumulate`` attribute,
+    so a wrapper installed there sees every call.
+    """
+    h_mat = np.zeros((k_total, k_total))
+    for gi_, g in enumerate(groups):
+        for local in range(g.count):
+            u_c = np.ascontiguousarray(u_w[gi_][local])
+            schur_accumulate(h_mat, u_c, *g.pairwise[local])
+    h_mat += np.tril(h_mat, -1).T
+    for gi_, g in enumerate(groups):
+        if g.slot is not None:
+            schur_slot(h_mat, u_w[gi_], g.slot.rows, g.cols, g.slot.offset,
+                       *g.others)
+    return h_mat
 
 
 def _gram_normal_matrix(groups, g_inv, k_total):
     """Normal matrix as an explicit Gram of scaled constraint matrices.
 
-    Slower than the pairwise kernel but numerically PSD by construction;
-    used as a fallback when extreme conditioning makes the fast path's
-    result indefinite.
+    Slower than the kernels but numerically PSD by construction; used as a
+    fallback when extreme conditioning makes the fast path's result
+    indefinite.
     """
     h = np.zeros((k_total, k_total))
     for gi_, g in enumerate(groups):
@@ -279,10 +319,6 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
         finite = (np.all(np.isfinite(x)) and math.isfinite(gap)
                   and math.isfinite(pobj) and math.isfinite(dobj))
 
-        if settings.verbose:
-            print(f"iter {it:3d}  pobj {pobj:+.9e}  dobj {dobj:+.9e}  "
-                  f"relgap {relgap:.2e}  pinf {pinf:.2e}  dinf {dinf:.2e}")
-
         if finite and max(relgap, objgap) <= settings.tol_gap \
                 and pinf <= settings.tol_feas and dinf <= settings.tol_feas:
             return finish("optimal", it)
@@ -343,14 +379,7 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
         except np.linalg.LinAlgError:
             return fail("numerical", it)
 
-        # Normal matrix H[k,l] = sum_j <Mk, W^-1 Ml W^-1>, lower triangle.
-        h_mat = np.zeros((k_total, k_total))
-        for gi_, g in enumerate(groups):
-            for local in range(g.count):
-                u_c = np.ascontiguousarray(u_w[gi_][local])
-                schur_accumulate(h_mat, u_c, g.kvar[local], g.kp[local],
-                                 g.kq[local], g.kv[local])
-        h_mat += np.tril(h_mat, -1).T
+        h_mat = _normal_matrix(groups, u_w, k_total)
 
         # Jacobi equilibration keeps the factorization accurate when the
         # variable scales diverge (e.g. the transport multiplier blows up

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -33,8 +33,7 @@ from .model import (
     loss_batch,
 )
 from .risk import cvar_discrete
-from .sdp import SdpProblem, build_drcvar_sdp, extract_estimator
-from . import sdp as _sdp
+from .sdp import build_drcvar_sdp, build_nominal_cvar_sdp, extract_estimator
 
 #: Hard bound on |conic optimum - dual evaluation| for robust fits,
 #: relative to 1 + value.  Exceedance is a defect, not a warning.
@@ -148,12 +147,7 @@ def fit_dr_mse(dist: EmpiricalDistribution, r: float,
                settings: SolverSettings | None = None) -> FitResult:
     """Robust mean-squared-error fit: the alpha = 1 case of fit_dr_cvar."""
     res = fit_dr_cvar(dist, RiskSpec(alpha=1.0, radius=r), settings=settings)
-    return FitResult(
-        estimator=res.estimator, optimal_value=res.optimal_value,
-        gamma=res.gamma, tau=res.tau, method="dr_mse",
-        cross_check_gap=res.cross_check_gap, boundary_gamma=res.boundary_gamma,
-        solve_time=res.solve_time, iterations=res.iterations,
-    )
+    return replace(res, method="dr_mse")
 
 
 def fit_nominal_mse(dist: EmpiricalDistribution) -> FitResult:
@@ -185,53 +179,6 @@ def fit_nominal_mse(dist: EmpiricalDistribution) -> FitResult:
         estimator=est, optimal_value=value, gamma=math.nan, tau=math.nan,
         method="nominal_mse", cross_check_gap=0.0, solve_time=elapsed,
     )
-
-
-def build_nominal_cvar_sdp(dist: EmpiricalDistribution, alpha: float) -> SdpProblem:
-    """Epigraph form of empirical CVaR minimization over affine estimators.
-
-    One (1+n) block per atom enforces s_i + tau >= ||x_i - A y_i - b||^2 via
-    a Schur complement against the identity; 1x1 blocks keep s nonnegative.
-    Variables are [vec(A) column-major, b, tau, s].
-    """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    n, m = dist.n, dist.m
-    big_n = dist.size
-    nm = n * m
-    k_total = nm + n + 1 + big_n
-    i_tau = nm + n
-
-    c = np.zeros(k_total)
-    c[i_tau] = 1.0
-    c[i_tau + 1 :] = 1.0 / (alpha * big_n)
-
-    blocks = []
-    for i in range(big_n):
-        xi = dist.x[i]
-        yi = dist.y[i]
-        const = [(1 + u, 1 + u, 1.0) for u in range(n)]
-        const += [(1 + u, 0, float(xi[u])) for u in range(n)]
-        coef = [(i_tau, 0, 0, 1.0), (i_tau + 1 + i, 0, 0, 1.0)]
-        coef += [(nm + u, 1 + u, 0, -1.0) for u in range(n)]
-        for u in range(n):
-            for v in range(m):
-                coef.append((v * n + u, 1 + u, 0, -float(yi[v])))
-        blocks.append(_sdp._make_block(1 + n, f"atom_{i}", const, coef))
-    for i in range(big_n):
-        blocks.append(_sdp._make_block(
-            1, f"s_nonneg_{i}", [], [(i_tau + 1 + i, 0, 0, 1.0)]))
-    if alpha == 1.0:
-        # same degenerate-ray pin as the robust assembly: losses are
-        # nonnegative, so tau >= 0 is exact at alpha = 1
-        blocks.append(_sdp._make_block(1, "tau_nonneg", [],
-                                       [(i_tau, 0, 0, 1.0)]))
-
-    layout = {"A": (0, nm), "b": (nm, nm + n), "tau": (i_tau, i_tau + 1),
-              "s": (i_tau + 1, k_total)}
-    meta = {"kind": "nominal_cvar", "n": n, "m": m, "N": big_n, "alpha": alpha}
-    return SdpProblem(num_vars=k_total, objective=c, blocks=tuple(blocks),
-                      var_layout=layout, meta=meta)
 
 
 def fit_nominal_cvar(dist: EmpiricalDistribution, alpha: float,

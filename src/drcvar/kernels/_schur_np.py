@@ -1,4 +1,4 @@
-"""NumPy fallback for the Schur-complement accumulation kernel.
+"""Pairwise Schur-complement accumulation kernel.
 
 Entries are first aggregated by matrix position: with P distinct (p, q)
 positions among the T expanded entries of a block, the contract equals
@@ -8,9 +8,7 @@ positions among the T expanded entries of a block, the contract equals
 where B (variable group x position) sums the values v of the entries that
 share a variable and a position.  C is gathered with np.take (which beats
 fancy indexing here by a wide margin) and B is a sparse matrix.  Peak memory
-is O(P^2); P <= T, and in the per-atom blocks of the robust SDP every matrix
-variable of the estimator shares the positions of the others, so P is
-about half of T.
+is O(P^2), P <= T.
 """
 import numpy as np
 import scipy.sparse as sp

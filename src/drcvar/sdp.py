@@ -32,6 +32,22 @@ O(gamma ||z_i||^2) terms.  As the radius shrinks the optimal gamma grows
 like 1/radius, and that cancellation stalls the interior-point iterates
 far from the optimum; in displacement coordinates gamma enters only as
 gamma I_d and nothing cancels.
+
+Matrix-variable slot
+--------------------
+Every block that depends on the estimator does so through the one matrix
+variable X = [A b] (n x (m+1)), whose column-major vec is the leading
+n(m+1) entries of x.  Variable X[u, v] enters such a block as
+a_u c_v' + c_v a_u' with a_u = e_{R_u} for a fixed row set R and c_v
+column v of a block-specific matrix C.  A block declares this as its
+:class:`MatrixSlot`; :func:`_make_block` generates the slot's sparse
+coefficient entries from the declaration, and the solver assembles the
+slot's part of the normal matrix from R and C by dense products instead
+of entry pairs (see :mod:`drcvar.kernels`).  The slots of the builders are
+
+    feasibility   R = d + (0..n-1),      c_v = e_{n+v},            c_m = 0
+    atom_i        R = 1 + d + (0..n-1),  c_v = e_{1+n+v} - y_iv e_0, c_m = -e_0
+    nominal atom  R = 1 + (0..n-1),      c_v = -y_iv e_0,          c_m = -e_0
 """
 from __future__ import annotations
 
@@ -43,11 +59,44 @@ from .model import AffineEstimator, EmpiricalDistribution, RiskSpec
 
 
 @dataclass(frozen=True)
+class MatrixSlot:
+    """How a block depends on an n x w matrix variable X.
+
+    Variable X[u, v] has index ``offset + v*n + u`` and coefficient matrix
+    e_{rows[u]} c_v' + c_v e_{rows[u]}' with c_v = ``cols[:, v]``; ``cols``
+    has one row per row of the block.
+    """
+
+    offset: int
+    rows: np.ndarray
+    cols: np.ndarray
+
+    @property
+    def num_vars(self) -> int:
+        return self.rows.shape[0] * self.cols.shape[1]
+
+    def entries(self) -> np.ndarray:
+        """Packed lower-triangular entries (var, p, q, v) of every variable."""
+        n = self.rows.shape[0]
+        j, v = np.nonzero(self.cols)
+        val = self.cols[j, v]
+        u = np.repeat(np.arange(n), j.shape[0])
+        r = self.rows[u]
+        j, v, val = np.tile(j, n), np.tile(v, n), np.tile(val, n)
+        # a diagonal position collects both halves of a_u c_v' + c_v a_u'
+        val = np.where(r == j, 2.0 * val, val)
+        return np.column_stack([self.offset + v * n + u, np.maximum(r, j),
+                                np.minimum(r, j), val])
+
+
+@dataclass(frozen=True)
 class LmiBlock:
     """One PSD constraint: affine map stored as packed lower-tri entries.
 
     ``const_*`` arrays hold the constant matrix, ``coef_*`` the per-variable
     coefficients (sorted by variable index).  Row >= col for every entry.
+    ``slot``, when set, declares the block's matrix-variable dependence;
+    its variables' entries are among the ``coef_*`` arrays.
     """
 
     size: int
@@ -59,6 +108,7 @@ class LmiBlock:
     coef_p: np.ndarray
     coef_q: np.ndarray
     coef_v: np.ndarray
+    slot: MatrixSlot | None = None
 
     def dense_constant(self) -> np.ndarray:
         m = np.zeros((self.size, self.size))
@@ -121,7 +171,19 @@ def _coalesce(keys: np.ndarray, vals: np.ndarray):
     return keys[starts], summed
 
 
-def _make_block(size, name, const_entries, coef_entries) -> LmiBlock:
+def _make_block(size, name, const_entries, coef_entries,
+                slot: MatrixSlot | None = None) -> LmiBlock:
+    """Block from (p, q, value) constant and (var, p, q, value) coefficient
+    entries; the entries of ``slot``'s variables come from the slot alone."""
+    coef = np.array(coef_entries, dtype=float).reshape(-1, 4)
+    if slot is not None:
+        if slot.cols.shape[0] != size or np.any(slot.rows < 0) \
+                or np.any(slot.rows >= size):
+            raise ValueError(f"block {name}: slot does not fit a size-{size} block")
+        if np.any((coef[:, 0] >= slot.offset)
+                  & (coef[:, 0] < slot.offset + slot.num_vars)):
+            raise ValueError(f"block {name}: entries given for slot variables")
+        coef = np.concatenate([coef, slot.entries()])
     if const_entries:
         arr = np.array(const_entries, dtype=float)
         keys, vals = _coalesce(arr[:, :2].astype(np.int64), arr[:, 2])
@@ -129,18 +191,13 @@ def _make_block(size, name, const_entries, coef_entries) -> LmiBlock:
     else:
         cp = cq = np.zeros(0, dtype=np.int64)
         cv = np.zeros(0)
-    if coef_entries:
-        arr = np.array(coef_entries, dtype=float)
-        keys, vals = _coalesce(arr[:, :3].astype(np.int64), arr[:, 3])
-        var, p, q, v = keys[:, 0], keys[:, 1], keys[:, 2], vals
-    else:
-        var = p = q = np.zeros(0, dtype=np.int64)
-        v = np.zeros(0)
+    keys, v = _coalesce(coef[:, :3].astype(np.int64), coef[:, 3])
+    var, p, q = keys[:, 0], keys[:, 1], keys[:, 2]
     if np.any(cp < cq) or np.any(p < q):
         raise ValueError(f"block {name}: packed entries must have row >= col")
     return LmiBlock(size=size, name=name,
                     const_p=cp, const_q=cq, const_v=cv,
-                    coef_var=var, coef_p=p, coef_q=q, coef_v=v)
+                    coef_var=var, coef_p=p, coef_q=q, coef_v=v, slot=slot)
 
 
 def default_strict_margin(dist: EmpiricalDistribution) -> float:
@@ -183,12 +240,6 @@ def build_drcvar_sdp(dist: EmpiricalDistribution, spec: RiskSpec,
     nm = n * m
     k_total = nm + n + 2 + big_n
 
-    def i_a(u, v):  # column-major vec(A)
-        return v * n + u
-
-    def i_b(u):
-        return nm + u
-
     i_gamma = nm + n
     i_tau = nm + n + 1
 
@@ -209,10 +260,10 @@ def build_drcvar_sdp(dist: EmpiricalDistribution, spec: RiskSpec,
         const.append((d + u, u, -1.0))  # constant -I_n part of F
         const.append((d + u, d + u, 1.0))
     coef = [(i_gamma, j, j, 1.0) for j in range(d)]
-    for u in range(n):
-        for v in range(m):
-            coef.append((i_a(u, v), d + u, n + v, 1.0))
-    blocks.append(_make_block(size, "feasibility", const, coef))
+    cols = np.zeros((size, m + 1))
+    cols[n + np.arange(m), np.arange(m)] = 1.0
+    slot = MatrixSlot(offset=0, rows=d + np.arange(n), cols=cols)
+    blocks.append(_make_block(size, "feasibility", const, coef, slot))
 
     # Per-atom epigraph blocks, size 1 + d + n, in displacement coordinates
     # (see the module docstring); e_i = x_i - A y_i - b fills column 0.
@@ -223,12 +274,12 @@ def build_drcvar_sdp(dist: EmpiricalDistribution, spec: RiskSpec,
         const += [(1 + d + u, 0, float(x_i[u])) for u in range(n)]
         coef = [(i_tau, 0, 0, 1.0), (i_s(i), 0, 0, 1.0)]
         coef += [(i_gamma, 1 + j, 1 + j, 1.0) for j in range(d)]
-        coef += [(i_b(u), 1 + d + u, 0, -1.0) for u in range(n)]
-        for u in range(n):
-            for v in range(m):
-                coef.append((i_a(u, v), 1 + d + u, 1 + n + v, 1.0))
-                coef.append((i_a(u, v), 1 + d + u, 0, -float(y_i[v])))
-        blocks.append(_make_block(1 + d + n, f"atom_{i}", const, coef))
+        cols = np.zeros((1 + d + n, m + 1))
+        cols[1 + n + np.arange(m), np.arange(m)] = 1.0
+        cols[0, :m] = -y_i
+        cols[0, m] = -1.0
+        slot = MatrixSlot(offset=0, rows=1 + d + np.arange(n), cols=cols)
+        blocks.append(_make_block(1 + d + n, f"atom_{i}", const, coef, slot))
 
     # Nonnegativity of gamma and the epigraph slacks.
     blocks.append(_make_block(1, "gamma_nonneg", [], [(i_gamma, 0, 0, 1.0)]))
@@ -252,6 +303,52 @@ def build_drcvar_sdp(dist: EmpiricalDistribution, spec: RiskSpec,
     meta = {"kind": "dr_cvar", "n": n, "m": m, "N": big_n,
             "alpha": spec.alpha, "radius": spec.radius,
             "strict_margin": strict_margin}
+    return SdpProblem(num_vars=k_total, objective=c, blocks=tuple(blocks),
+                      var_layout=layout, meta=meta)
+
+
+def build_nominal_cvar_sdp(dist: EmpiricalDistribution, alpha: float) -> SdpProblem:
+    """Epigraph form of empirical CVaR minimization over affine estimators.
+
+    One (1+n) block per atom enforces s_i + tau >= ||x_i - A y_i - b||^2 via
+    a Schur complement against the identity; 1x1 blocks keep s nonnegative.
+    Variables are [vec(A) column-major, b, tau, s].
+    """
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    n, m = dist.n, dist.m
+    big_n = dist.size
+    nm = n * m
+    k_total = nm + n + 1 + big_n
+    i_tau = nm + n
+
+    c = np.zeros(k_total)
+    c[i_tau] = 1.0
+    c[i_tau + 1 :] = 1.0 / (alpha * big_n)
+
+    blocks = []
+    for i in range(big_n):
+        xi = dist.x[i]
+        const = [(1 + u, 1 + u, 1.0) for u in range(n)]
+        const += [(1 + u, 0, float(xi[u])) for u in range(n)]
+        coef = [(i_tau, 0, 0, 1.0), (i_tau + 1 + i, 0, 0, 1.0)]
+        cols = np.zeros((1 + n, m + 1))
+        cols[0, :m] = -dist.y[i]
+        cols[0, m] = -1.0
+        slot = MatrixSlot(offset=0, rows=1 + np.arange(n), cols=cols)
+        blocks.append(_make_block(1 + n, f"atom_{i}", const, coef, slot))
+    for i in range(big_n):
+        blocks.append(_make_block(
+            1, f"s_nonneg_{i}", [], [(i_tau + 1 + i, 0, 0, 1.0)]))
+    if alpha == 1.0:
+        # same degenerate-ray pin as the robust assembly: losses are
+        # nonnegative, so tau >= 0 is exact at alpha = 1
+        blocks.append(_make_block(1, "tau_nonneg", [],
+                                  [(i_tau, 0, 0, 1.0)]))
+
+    layout = {"A": (0, nm), "b": (nm, nm + n), "tau": (i_tau, i_tau + 1),
+              "s": (i_tau + 1, k_total)}
+    meta = {"kind": "nominal_cvar", "n": n, "m": m, "N": big_n, "alpha": alpha}
     return SdpProblem(num_vars=k_total, objective=c, blocks=tuple(blocks),
                       var_layout=layout, meta=meta)
 

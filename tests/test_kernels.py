@@ -1,10 +1,13 @@
-"""Equivalence of the compiled and NumPy Schur-accumulation kernels."""
+"""Schur-complement kernels: the pairwise kernel against a dense reference,
+and the structured slot assembly against the pairwise kernel."""
 
 import numpy as np
 import pytest
 
-from drcvar import kernels
+from drcvar import conic, kernels
 from drcvar.kernels import _schur_np
+from drcvar.model import EmpiricalDistribution, RiskSpec
+from drcvar.sdp import build_drcvar_sdp, build_nominal_cvar_sdp
 
 
 def random_block(rng, k_total, size, entries):
@@ -43,26 +46,6 @@ def test_numpy_kernel_matches_dense_reference(seed):
     assert np.allclose(np.tril(h), ref, atol=1e-10)
 
 
-@pytest.mark.skipif(not kernels.HAVE_COMPILED,
-                    reason="compiled kernel not built")
-@pytest.mark.parametrize("seed", range(10))
-def test_compiled_matches_numpy(seed):
-    rng = np.random.default_rng(100 + seed)
-    k_total = int(rng.integers(3, 40))
-    size = int(rng.integers(1, 20))
-    entries = int(rng.integers(1, 300))
-    u, var, p, q, v = random_block(rng, k_total, size, entries)
-
-    h_np = np.zeros((k_total, k_total))
-    _schur_np.schur_accumulate(h_np, u, var, p, q, v)
-
-    from drcvar.kernels import _schur_cy
-
-    h_cy = np.zeros((k_total, k_total))
-    _schur_cy.schur_accumulate(h_cy, u, var, p, q, v)
-    assert np.allclose(h_cy, h_np, rtol=1e-12, atol=1e-12)
-
-
 def test_accumulation_adds_to_existing():
     rng = np.random.default_rng(42)
     u, var, p, q, v = random_block(rng, 5, 4, 12)
@@ -71,3 +54,56 @@ def test_accumulation_adds_to_existing():
     h2 = h1.copy()
     kernels.schur_accumulate(h2, u, var, p, q, v)
     assert np.allclose(h2, 2.0 * h1)
+
+
+def random_scalings(rng, groups):
+    """Random well-conditioned PSD W^-1 stack per block group."""
+    stacks = []
+    for g in groups:
+        base = rng.standard_normal((g.count, g.size, g.size))
+        stacks.append(base @ base.transpose(0, 2, 1) + g.size * np.eye(g.size))
+    return stacks
+
+
+def problem(kind, n, m, big_n, seed):
+    rng = np.random.default_rng(seed)
+    dist = EmpiricalDistribution(atoms=rng.standard_normal((big_n, n + m)),
+                                 n=n, m=m)
+    if kind == "nominal_cvar":
+        return build_nominal_cvar_sdp(dist, 0.2)
+    alpha = 1.0 if kind == "dr_mse" else 0.1
+    return build_drcvar_sdp(dist, RiskSpec(alpha=alpha, radius=0.3))
+
+
+@pytest.mark.parametrize("kind", ["dr_cvar", "dr_mse", "nominal_cvar"])
+def test_structured_assembly_matches_pairwise(kind):
+    prob = problem(kind, n=4, m=3, big_n=5, seed=7)
+    if kind == "dr_mse":
+        assert prob.blocks[-1].name == "tau_nonneg"
+    groups = conic._build_groups(prob)
+    assert any(g.slot is not None for g in groups)
+    u_w = random_scalings(np.random.default_rng(11), groups)
+    h = conic._normal_matrix(groups, u_w, prob.num_vars)
+
+    ref = np.zeros_like(h)
+    for gi, g in enumerate(groups):
+        for local, j in enumerate(g.idxs):
+            _schur_np.schur_accumulate(ref, u_w[gi][local],
+                                       *prob.blocks[j].expanded())
+    ref += np.tril(ref, -1).T
+    assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_structured_assembly_matches_dense_reference():
+    prob = problem("dr_cvar", n=2, m=2, big_n=3, seed=3)
+    groups = conic._build_groups(prob)
+    u_w = random_scalings(np.random.default_rng(5), groups)
+    h = conic._normal_matrix(groups, u_w, prob.num_vars)
+
+    ref = np.zeros_like(h)
+    for gi, g in enumerate(groups):
+        for local, j in enumerate(g.idxs):
+            ref += dense_reference(prob.num_vars, u_w[gi][local],
+                                   *prob.blocks[j].expanded())
+    ref += np.tril(ref, -1).T
+    assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))

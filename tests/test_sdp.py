@@ -17,7 +17,10 @@ from drcvar.model import (
     affine_to_quadratic,
 )
 from drcvar.sdp import (
+    MatrixSlot,
+    _make_block,
     build_drcvar_sdp,
+    build_nominal_cvar_sdp,
     default_strict_margin,
     extract_estimator,
     write_problem_dump,
@@ -123,6 +126,55 @@ class TestRoundTrip:
             t_mat = displacement_congruence(dist.atoms[i], n)
             built = prob.blocks[1 + i].evaluate(x)
             assert np.max(np.abs(built - t_mat @ direct @ t_mat.T)) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["dr_cvar", "nominal_cvar"])
+    def test_slot_regenerates_estimator_entries(self, kind):
+        # the [A b] entries written out as in the paper's block forms; each
+        # block's declared slot must reproduce exactly these and no others
+        rng = np.random.default_rng(SEED + 7)
+        n, m, big_n = 3, 2, 4
+        dist = EmpiricalDistribution(
+            atoms=rng.standard_normal((big_n, n + m)), n=n, m=m)
+        d, nm = n + m, n * m
+        expected = {}
+        if kind == "dr_cvar":
+            prob = build_drcvar_sdp(dist, RiskSpec(alpha=0.3, radius=0.7))
+            expected["feasibility"] = [(v * n + u, d + u, n + v, 1.0)
+                                       for u in range(n) for v in range(m)]
+            rows, cols = (lambda u: 1 + d + u), (lambda v: [(1 + n + v, 1.0)])
+        else:
+            prob = build_nominal_cvar_sdp(dist, 0.3)
+            rows, cols = (lambda u: 1 + u), (lambda v: [])
+        for i in range(big_n):
+            entries = [(nm + u, rows(u), 0, -1.0) for u in range(n)]
+            for u in range(n):
+                for v in range(m):
+                    entries += [(v * n + u, rows(u), col, val)
+                                for col, val in cols(v)]
+                    entries.append((v * n + u, rows(u), 0, -dist.y[i, v]))
+            expected[f"atom_{i}"] = entries
+
+        for blk in prob.blocks:
+            assert (blk.slot is not None) == (blk.name in expected)
+            if blk.slot is None:
+                continue
+            in_slot = blk.coef_var < nm + n
+            built = np.column_stack([blk.coef_var, blk.coef_p, blk.coef_q,
+                                     blk.coef_v])[in_slot]
+            ref = np.array(sorted(expected[blk.name]))
+            assert np.array_equal(built, ref)
+            regenerated = blk.slot.entries()
+            order = np.lexsort(regenerated[:, :3].T[::-1])
+            assert np.array_equal(regenerated[order], ref)
+
+    def test_slot_owns_its_variables(self):
+        slot = MatrixSlot(offset=0, rows=np.array([1]), cols=np.ones((2, 1)))
+        with pytest.raises(ValueError):
+            _make_block(2, "bad", [], [(0, 1, 0, 1.0)], slot)
+        blk = _make_block(2, "ok", [], [(1, 1, 1, 1.0)], slot)
+        # X[0, 0] e_1 c' + c e_1' with c = (1, 1): (1, 0) once, (1, 1) twice
+        assert np.array_equal(blk.evaluate(np.array([1.0, 0.0])),
+                              np.array([[0.0, 1.0], [1.0, 2.0]]))
 
     def test_objective_vector(self):
         dist, prob = small_problem(n=2, m=1, big_n=3, alpha=0.25, radius=2.0)
