@@ -24,8 +24,6 @@ from .dual import (
     dual_objective,
     gamma_domain,
     phi,
-    phi_oracle,
-    primal_candidate,
     worst_case_cvar,
     worst_case_mse_closed,
 )
@@ -85,8 +83,6 @@ __all__ = [
     "loss_batch",
     "loss_eval",
     "phi",
-    "phi_oracle",
-    "primal_candidate",
     "radius_sweep",
     "solve_sdp",
     "split_and_normalize",

@@ -5,15 +5,13 @@ infeasible-start path-following method: Nesterov-Todd scaling computed per
 block from Cholesky factors and one SVD (retried with LAPACK's ``gesvd``
 driver when the default ``gesdd`` fails to converge), a Mehrotra
 predictor-corrector step, and a dense normal-equations (Schur-complement)
-solve whose assembly is delegated to :mod:`drcvar.kernels`.  Dense linear
-algebra throughout; blocks of equal size are processed as stacked arrays so
-the per-block factorizations hit batched LAPACK calls instead of Python
-loops.  Blocks that also declare the same matrix-variable slot
-(:class:`drcvar.sdp.MatrixSlot`) share a stack, whose slot part of the
-normal matrix is assembled by ``schur_slot`` in a few GEMMs; the remaining
-entries of each block go through the pairwise ``schur_accumulate``.
-Determinism over scalability: sized for problems up to a few hundred
-variables and blocks below ~100x100.
+solve.  Dense linear algebra throughout; blocks of equal size that declare
+the same matrix-variable slot (:class:`drcvar.sdp.MatrixSlot`) are
+processed as one stack, so the per-block factorizations hit batched LAPACK
+calls instead of Python loops, and the normal matrix is assembled by one
+:func:`drcvar.kernels.schur_accumulate` call per stack.  Determinism over
+scalability: sized for problems up to a few hundred variables and blocks
+below ~100x100.
 
 Status classification
 ---------------------
@@ -29,8 +27,11 @@ Status classification
                 (c'(x/||x||) <= -1e-8 and min eig of the homogeneous map at
                 x/||x|| >= -1e-8).
 ``max_iter``    iteration cap hit; the best iterate seen is returned.
-``numerical``   KKT factorization broke down beyond ridge repair, or
-                iterates stopped being finite without a certificate.
+``numerical``   no ridge up to 1e-8 on the diagonal of the equilibrated
+                normal matrix made it factor, a scaling factorization or
+                search direction failed, the step length stalled, or
+                iterates stopped being finite without a certificate; the
+                best iterate seen is returned.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .kernels import schur_accumulate, schur_slot
+from .kernels import schur_accumulate
 from .sdp import SdpProblem
 
 _DIVERGENCE_FACTOR = 1e8
@@ -86,14 +87,14 @@ class _Group:
 
     Sparse coefficient entries of the member blocks are concatenated with
     their flat positions offset per member, so evaluating the affine map or
-    its adjoint over the whole group is one scatter or gather.  When the
-    members declare a slot, its rows, the stacked C matrices and the
-    members' entries outside the slot are kept for the Schur assembly.
+    its adjoint over the whole group is one scatter or gather.  The Schur
+    assembly reads the members' entries outside the slot, ``others`` as
+    (member, var, p, q, v), and, when the members declare a slot, its
+    stacked C matrices ``cols``.
     """
 
     __slots__ = ("size", "idxs", "count", "m0", "var", "flat", "v",
-                 "kvar", "kp", "kq", "kv", "slot", "cols", "pairwise",
-                 "others")
+                 "slot", "cols", "others")
 
     def __init__(self, size, idxs, blocks):
         self.size = size
@@ -101,40 +102,26 @@ class _Group:
         self.count = len(idxs)
         self.m0 = np.stack([blocks[j].dense_constant() for j in idxs])
         self.slot = blocks[idxs[0]].slot
-        var_parts, flat_parts, v_parts = [], [], []
-        kvar, kp, kq, kv, pairwise = [], [], [], [], []
+        var_parts, flat_parts, v_parts, others = [], [], [], []
         for local, j in enumerate(idxs):
             var, p, q, v = blocks[j].expanded()
             var_parts.append(var.astype(np.int64))
             flat_parts.append(p.astype(np.int64) * size + q.astype(np.int64)
                               + local * size * size)
             v_parts.append(v)
-            kvar.append(var)
-            kp.append(p)
-            kq.append(q)
-            kv.append(v)
             keep = slice(None)
             if self.slot is not None:
                 keep = ((var < self.slot.offset)
                         | (var >= self.slot.offset + self.slot.num_vars))
-            pairwise.append((var[keep], p[keep], q[keep], v[keep]))
+            others.append((np.full(var[keep].shape[0], local), var[keep],
+                           p[keep], q[keep], v[keep]))
         self.var = np.concatenate(var_parts)
         self.flat = np.concatenate(flat_parts)
         self.v = np.concatenate(v_parts)
-        # per-member full entries for the Gram rebuild
-        self.kvar = kvar
-        self.kp = kp
-        self.kq = kq
-        self.kv = kv
-        # per-member entries outside the slot for the pairwise kernel
-        self.pairwise = pairwise
-        self.cols = self.others = None
+        self.others = tuple(np.concatenate(parts) for parts in zip(*others))
+        self.cols = None
         if self.slot is not None:
             self.cols = np.stack([blocks[j].slot.cols for j in idxs])
-            member = np.concatenate([np.full(e[0].shape[0], local)
-                                     for local, e in enumerate(pairwise)])
-            self.others = (member,) + tuple(
-                np.concatenate(parts) for parts in zip(*pairwise))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """(count, s, s) stack of sum_k x_k Mk over member blocks."""
@@ -164,43 +151,15 @@ def _build_groups(problem: SdpProblem) -> list[_Group]:
 def _normal_matrix(groups, u_w, k_total):
     """Normal matrix H[k,l] = sum_j <Mk, W_j^-1 Ml W_j^-1>, both triangles.
 
-    ``u_w`` holds the (count, s, s) stack of W^-1 per group.  The pairwise
-    kernel is called through this module's ``schur_accumulate`` attribute,
-    so a wrapper installed there sees every call.
+    ``u_w`` holds the (count, s, s) stack of W^-1 per group.  The kernel is
+    called once per group through this module's ``schur_accumulate``
+    attribute, so a wrapper installed there sees every call.
     """
     h_mat = np.zeros((k_total, k_total))
-    for gi_, g in enumerate(groups):
-        for local in range(g.count):
-            u_c = np.ascontiguousarray(u_w[gi_][local])
-            schur_accumulate(h_mat, u_c, *g.pairwise[local])
-    h_mat += np.tril(h_mat, -1).T
-    for gi_, g in enumerate(groups):
-        if g.slot is not None:
-            schur_slot(h_mat, u_w[gi_], g.slot.rows, g.cols, g.slot.offset,
-                       *g.others)
+    for g, u in zip(groups, u_w):
+        slot = () if g.slot is None else (g.slot.rows, g.cols, g.slot.offset)
+        schur_accumulate(h_mat, u, *g.others, *slot)
     return h_mat
-
-
-def _gram_normal_matrix(groups, g_inv, k_total):
-    """Normal matrix as an explicit Gram of scaled constraint matrices.
-
-    Slower than the kernels but numerically PSD by construction; used as a
-    fallback when extreme conditioning makes the fast path's result
-    indefinite.
-    """
-    h = np.zeros((k_total, k_total))
-    for gi_, g in enumerate(groups):
-        s = g.size
-        for local in range(g.count):
-            var = g.kvar[local]
-            present, inv = np.unique(var, return_inverse=True)
-            mats = np.zeros((present.size, s, s))
-            np.add.at(mats, (inv, g.kp[local], g.kq[local]), g.kv[local])
-            gil = g_inv[gi_][local]
-            scaled = gil @ mats @ gil.T
-            vecs = scaled.reshape(present.size, s * s)
-            h[np.ix_(present, present)] += vecs @ vecs.T
-    return h
 
 
 def _left_svd(stack):
@@ -388,7 +347,6 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
         h_eq = h_mat / np.outer(jac, jac)
         h_fact = None
         ridge = 0.0
-        rebuilt = False
         while h_fact is None:
             try:
                 h_fact = sla.cho_factor(
@@ -396,15 +354,7 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
             except np.linalg.LinAlgError:
                 ridge = 1e-13 if ridge == 0.0 else ridge * 100.0
                 if ridge > 1e-8:
-                    if rebuilt:
-                        return fail("numerical", it)
-                    # the pairwise expansion can lose definiteness to
-                    # roundoff at extreme conditioning; rebuild as a Gram
-                    h_mat = _gram_normal_matrix(groups, g_inv, k_total)
-                    jac = np.sqrt(np.maximum(np.diag(h_mat), 1e-300))
-                    h_eq = h_mat / np.outer(jac, jac)
-                    ridge = 0.0
-                    rebuilt = True
+                    return fail("numerical", it)
 
         def directions(rtc):
             rhs = -r_d.copy()

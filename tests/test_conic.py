@@ -9,6 +9,7 @@ residuals.
 import numpy as np
 import pytest
 
+from drcvar import conic
 from drcvar.conic import SdpSolution, SolverSettings, certify, solve_sdp
 from drcvar.model import EmpiricalDistribution, RiskSpec
 from drcvar.sdp import SdpProblem, _make_block, build_drcvar_sdp
@@ -169,6 +170,26 @@ class TestReporting:
         assert len(calls) > 1
         assert sol.status == "optimal"
         assert abs(sol.objective_value - opt) <= 1e-6 * (1.0 + abs(opt))
+
+    def test_ridge_exhaustion_is_numerical(self, monkeypatch):
+        # a normal matrix that no ridge up to 1e-8 makes definite ends the
+        # solve as 'numerical' with the best iterate seen so far
+        prob, _ = random_kkt_instance(3)
+        accumulate = conic.schur_accumulate
+        calls = []
+
+        def indefinite(h_mat, *args):
+            accumulate(h_mat, *args)
+            calls.append(1)
+            if len(calls) > 4:
+                h_mat[0, 0] = -1.0
+
+        monkeypatch.setattr(conic, "schur_accumulate", indefinite)
+        sol = solve_sdp(prob)
+        assert sol.status == "numerical"
+        assert sol.iterations > 0
+        assert np.all(np.isfinite(sol.x))
+        assert np.isfinite(sol.objective_value)
 
     def test_max_iter_status(self):
         prob, _ = random_kkt_instance(11)

@@ -1,11 +1,10 @@
-"""Schur-complement kernels: the pairwise kernel against a dense reference,
-and the structured slot assembly against the pairwise kernel."""
+"""Schur-complement assembly against a dense reference: stacks without a
+slot from random entries, and the solver's stacks of the built SDPs."""
 
 import numpy as np
 import pytest
 
 from drcvar import conic, kernels
-from drcvar.kernels import _schur_np
 from drcvar.model import EmpiricalDistribution, RiskSpec
 from drcvar.sdp import build_drcvar_sdp, build_nominal_cvar_sdp
 
@@ -21,7 +20,7 @@ def random_block(rng, k_total, size, entries):
 
 
 def dense_reference(k_total, u, var, p, q, v):
-    """Direct dense computation: H[k,l] = <Mk, U Ml U>."""
+    """Direct dense computation: H[k,l] = <Mk, U Ml U>, both triangles."""
     mats = np.zeros((k_total, u.shape[0], u.shape[0]))
     for a in range(var.shape[0]):
         mats[var[a], p[a], q[a]] += v[a]
@@ -30,7 +29,7 @@ def dense_reference(k_total, u, var, p, q, v):
         uku = u @ mats[k] @ u
         for l in range(k + 1):
             h[k, l] = np.sum(mats[l] * uku)
-    return h
+    return h + np.tril(h, -1).T
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -40,19 +39,32 @@ def test_numpy_kernel_matches_dense_reference(seed):
     size = int(rng.integers(1, 9))
     entries = int(rng.integers(1, 40))
     u, var, p, q, v = random_block(rng, k_total, size, entries)
+    # the entries as one block
     h = np.zeros((k_total, k_total))
-    _schur_np.schur_accumulate(h, u, var, p, q, v)
+    kernels.schur_accumulate(h, u[None], np.zeros(entries, dtype=np.int64),
+                             var, p, q, v)
     ref = dense_reference(k_total, u, var, p, q, v)
-    assert np.allclose(np.tril(h), ref, atol=1e-10)
+    assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # the same entries split at random over a stack of three blocks
+    member = np.sort(rng.integers(0, 3, entries))
+    stack = np.stack([u] + [random_block(rng, k_total, size, 1)[0]
+                            for _ in range(2)])
+    h = np.zeros((k_total, k_total))
+    kernels.schur_accumulate(h, stack, member, var, p, q, v)
+    ref = sum(dense_reference(k_total, stack[i], var[member == i],
+                              p[member == i], q[member == i], v[member == i])
+              for i in range(3))
+    assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_accumulation_adds_to_existing():
     rng = np.random.default_rng(42)
     u, var, p, q, v = random_block(rng, 5, 4, 12)
+    member = np.zeros(12, dtype=np.int64)
     h1 = np.zeros((5, 5))
-    kernels.schur_accumulate(h1, u, var, p, q, v)
+    kernels.schur_accumulate(h1, u[None], member, var, p, q, v)
     h2 = h1.copy()
-    kernels.schur_accumulate(h2, u, var, p, q, v)
+    kernels.schur_accumulate(h2, u[None], member, var, p, q, v)
     assert np.allclose(h2, 2.0 * h1)
 
 
@@ -75,6 +87,15 @@ def problem(kind, n, m, big_n, seed):
     return build_drcvar_sdp(dist, RiskSpec(alpha=alpha, radius=0.3))
 
 
+def stacked_dense_reference(prob, groups, u_w):
+    ref = np.zeros((prob.num_vars, prob.num_vars))
+    for gi, g in enumerate(groups):
+        for local, j in enumerate(g.idxs):
+            ref += dense_reference(prob.num_vars, u_w[gi][local],
+                                   *prob.blocks[j].expanded())
+    return ref
+
+
 @pytest.mark.parametrize("kind", ["dr_cvar", "dr_mse", "nominal_cvar"])
 def test_structured_assembly_matches_pairwise(kind):
     prob = problem(kind, n=4, m=3, big_n=5, seed=7)
@@ -84,13 +105,7 @@ def test_structured_assembly_matches_pairwise(kind):
     assert any(g.slot is not None for g in groups)
     u_w = random_scalings(np.random.default_rng(11), groups)
     h = conic._normal_matrix(groups, u_w, prob.num_vars)
-
-    ref = np.zeros_like(h)
-    for gi, g in enumerate(groups):
-        for local, j in enumerate(g.idxs):
-            _schur_np.schur_accumulate(ref, u_w[gi][local],
-                                       *prob.blocks[j].expanded())
-    ref += np.tril(ref, -1).T
+    ref = stacked_dense_reference(prob, groups, u_w)
     assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -99,11 +114,5 @@ def test_structured_assembly_matches_dense_reference():
     groups = conic._build_groups(prob)
     u_w = random_scalings(np.random.default_rng(5), groups)
     h = conic._normal_matrix(groups, u_w, prob.num_vars)
-
-    ref = np.zeros_like(h)
-    for gi, g in enumerate(groups):
-        for local, j in enumerate(g.idxs):
-            ref += dense_reference(prob.num_vars, u_w[gi][local],
-                                   *prob.blocks[j].expanded())
-    ref += np.tril(ref, -1).T
+    ref = stacked_dense_reference(prob, groups, u_w)
     assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
