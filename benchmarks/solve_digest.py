@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Print a digest of interior-point solves over a fixed grid of problems.
+
+Solves the robust and nominal CVaR SDPs at N = 6 and prints one line per
+solve: profile, data, seed, method, alpha, radius, status, iterations, the
+objective's ``repr`` and the sha256 of the returned x.  The last line is
+the sha256 over all of them.  Two checkouts whose solver iterates agree bit
+for bit print the same digest, so a solver change that must not move the
+iterates can show that it did not.
+
+The grid: the first 6 days of ``synth_spiky(SpikyConfig(days=7), seed)``
+for seeds 1, 6 and 1009, normalized as in ``split_and_normalize``, both as
+generated and with coordinates 3 and 30 set to the constant 0.5; the
+``strict`` and ``fast`` profiles; ``nominal_cvar`` at alpha in {0.1, 1};
+``dr_cvar`` at alpha in {0.9/N, 1/N, 0.1, 1} x r in {1e-8, ..., 1e4}.
+That is 360 solves, a few minutes on one core.  BLAS is pinned to one
+thread before NumPy is imported, as the digest depends on it.
+
+Usage: PYTHONPATH=src python benchmarks/solve_digest.py
+"""
+import hashlib
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+
+from drcvar.conic import solve_sdp  # noqa: E402
+from drcvar.data import SpikyConfig, split_and_normalize, synth_spiky  # noqa: E402
+from drcvar.estimate import default_solver_settings  # noqa: E402
+from drcvar.model import EmpiricalDistribution, RiskSpec  # noqa: E402
+from drcvar.sdp import build_drcvar_sdp, build_nominal_cvar_sdp  # noqa: E402
+
+SEEDS = (1, 6, 1009)
+DAYS = 6
+CONSTANT_COORDS = (3, 30)
+RADII = (1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4)
+
+
+def datasets(seed):
+    ds = synth_spiky(SpikyConfig(days=DAYS + 1), seed)
+    train, _, _ = split_and_normalize(ds, ds.dates[DAYS])
+    atoms = np.array(train.atoms)
+    atoms[:, CONSTANT_COORDS] = 0.5
+    return (("plain", train),
+            ("const", EmpiricalDistribution(atoms=atoms, n=train.n, m=train.m)))
+
+
+def problems(dist):
+    big_n = dist.size
+    for alpha in (0.1, 1.0):
+        yield "nominal_cvar", alpha, 0.0, build_nominal_cvar_sdp(dist, alpha)
+    for alpha in (0.9 / big_n, 1.0 / big_n, 0.1, 1.0):
+        for radius in RADII:
+            spec = RiskSpec(alpha=alpha, radius=radius)
+            yield "dr_cvar", alpha, radius, build_drcvar_sdp(dist, spec)
+
+
+def main():
+    total = hashlib.sha256()
+    for profile in ("strict", "fast"):
+        settings = default_solver_settings(profile)
+        for seed in SEEDS:
+            for label, dist in datasets(seed):
+                for method, alpha, radius, problem in problems(dist):
+                    sol = solve_sdp(problem, settings)
+                    x_sha = hashlib.sha256(
+                        np.ascontiguousarray(sol.x).tobytes()).hexdigest()
+                    line = (f"{profile} {label} {seed} {method} {alpha!r} "
+                            f"{radius!r} {sol.status} {sol.iterations} "
+                            f"{sol.objective_value!r} {x_sha}")
+                    print(line, flush=True)
+                    total.update(line.encode() + b"\n")
+    print(f"digest {total.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

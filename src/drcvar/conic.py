@@ -1,14 +1,22 @@
 """Primal-dual interior-point solver for small/medium block-diagonal SDPs.
 
 Solves ``minimize c'x  s.t.  S_j(x) = M0_j + sum_k x_k Mk_j  PSD`` with an
-infeasible-start path-following method: Nesterov-Todd scaling computed per
-block from Cholesky factors and one SVD (retried with LAPACK's ``gesvd``
-driver when the default ``gesdd`` fails to converge), a Mehrotra
-predictor-corrector step, and a dense normal-equations (Schur-complement)
-solve.  Dense linear algebra throughout; blocks of equal size that declare
-the same matrix-variable slot (:class:`drcvar.sdp.MatrixSlot`) are
-processed as one stack, so the per-block factorizations hit batched LAPACK
-calls instead of Python loops, and the normal matrix is assembled by one
+infeasible-start Mehrotra predictor-corrector method.  Each iteration
+computes Nesterov-Todd scaling per block from Cholesky factors and one SVD
+(retried with LAPACK's ``gesvd`` driver when the default ``gesdd`` fails to
+converge), factors the dense normal (Schur-complement) matrix once, and
+takes two directions through one routine: the predictor (affine scaling,
+step fraction 1), whose step lengths set sigma = (mu_aff / mu)^3, and the
+corrector (centering at sigma * mu plus the second-order term), taken with
+one step length for both sides.  A direction's primal and dual step
+lengths come from one batched ``eigvalsh`` per block stack with both sides
+stacked.  A cone block whose Cholesky factorization fails by rounding has
+its spectrum floored (:func:`_cholesky_floored`).
+
+Dense linear algebra throughout; blocks of equal size that declare the
+same matrix-variable slot (:class:`drcvar.sdp.MatrixSlot`) are processed
+as one stack, so the per-block factorizations hit batched LAPACK calls
+instead of Python loops, and the normal matrix is assembled by one
 :func:`drcvar.kernels.schur_accumulate` call per stack.  Determinism over
 scalability: sized for problems up to a few hundred variables and blocks
 below ~100x100.
@@ -29,9 +37,9 @@ Status classification
 ``max_iter``    iteration cap hit; the best iterate seen is returned.
 ``numerical``   no ridge up to 1e-8 on the diagonal of the equilibrated
                 normal matrix made it factor, a scaling factorization or
-                search direction failed, the step length stalled, or
-                iterates stopped being finite without a certificate; the
-                best iterate seen is returned.
+                search direction failed, the step length stayed below
+                1e-10 for 3 iterations, or iterates stopped being finite
+                without a certificate; the best iterate seen is returned.
 """
 from __future__ import annotations
 
@@ -176,6 +184,26 @@ def _left_svd(stack):
     return u_sv, sig
 
 
+def _cholesky_floored(stack):
+    """Cholesky factors of a stack of symmetric matrices, and the stack.
+
+    Rounding can push the smallest eigenvalue of a cone block marginally
+    negative near convergence.  When the factorization fails, the spectrum
+    of every member is floored at 1e-14 times its largest eigenvalue (at
+    least 1e-14) and the repaired stack is returned with its factors, so
+    the caller can store it and keep the residuals consistent.
+    """
+    try:
+        return np.linalg.cholesky(stack), stack
+    except np.linalg.LinAlgError:
+        w, vecs = np.linalg.eigh(stack)
+        floor = 1e-14 * np.maximum(w[:, -1], 1.0)
+        w = np.maximum(w, floor[:, None])
+        repaired = (vecs * w[:, None, :]) @ vecs.transpose(0, 2, 1)
+        repaired = 0.5 * (repaired + repaired.transpose(0, 2, 1))
+        return np.linalg.cholesky(repaired), repaired
+
+
 def certify(problem: SdpProblem, x: np.ndarray, slack_blocks, dual_blocks):
     """Recompute gap and scaled residuals for a candidate primal/dual pair.
 
@@ -219,9 +247,10 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
     x = np.zeros(k_total)
     eta_p = max(1.0, norm_m0)
     eta_d = max(1.0, norm_c)
-    eye = {g.size: np.eye(g.size)[None, :, :] for g in groups}
-    s_st = [eta_p * np.repeat(eye[g.size], g.count, axis=0) for g in groups]
-    z_st = [eta_d * np.repeat(eye[g.size], g.count, axis=0) for g in groups]
+    s_st = [np.repeat(eta_p * np.eye(g.size)[None], g.count, axis=0)
+            for g in groups]
+    z_st = [np.repeat(eta_d * np.eye(g.size)[None], g.count, axis=0)
+            for g in groups]
 
     best = None  # (merit, x, S stacks, Z stacks, iteration)
 
@@ -301,31 +330,13 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
         if not finite or znorm > 1e150 or xnorm > 1e150 or mu <= 0.0:
             return fail("numerical", it)
 
-        def chol_repaired(stack, gi_, which):
-            # rounding can push the smallest eigenvalue of a stacked cone
-            # block marginally negative near convergence; floor the spectrum
-            # and write the repaired block back so residuals stay consistent
-            try:
-                return np.linalg.cholesky(stack)
-            except np.linalg.LinAlgError:
-                w, vecs = np.linalg.eigh(stack)
-                floor = 1e-14 * np.maximum(w[:, -1], 1.0)
-                w = np.maximum(w, floor[:, None])
-                repaired = (vecs * w[:, None, :]) @ vecs.transpose(0, 2, 1)
-                repaired = 0.5 * (repaired + repaired.transpose(0, 2, 1))
-                if which == "s":
-                    s_st[gi_] = repaired
-                else:
-                    z_st[gi_] = repaired
-                return np.linalg.cholesky(repaired)
-
         # Nesterov-Todd scaling, batched per size group:
         # G^-1 = diag(sig^-1/2) Usv' Lz', lambda = sig, W^-1 = G^-T G^-1.
         g_inv, g_inv_t, lam, u_w, rt_outer = [], [], [], [], []
         try:
             for gi_, g in enumerate(groups):
-                l_s = chol_repaired(s_st[gi_], gi_, "s")
-                l_z = chol_repaired(z_st[gi_], gi_, "z")
+                l_s, s_st[gi_] = _cholesky_floored(s_st[gi_])
+                l_z, z_st[gi_] = _cholesky_floored(z_st[gi_])
                 u_sv, sig = _left_svd(l_z.transpose(0, 2, 1) @ l_s)
                 ginv = ((u_sv / np.sqrt(sig)[:, None, :]).transpose(0, 2, 1)
                         @ l_z.transpose(0, 2, 1))
@@ -356,91 +367,72 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
                 if ridge > 1e-8:
                     return fail("numerical", it)
 
-        def directions(rtc):
-            rhs = -r_d.copy()
+        def solve_eq(vec):
+            return sla.cho_solve(h_fact, vec / jac) / jac
+
+        def step(rtc, frac):
+            # direction for the scaled complementarity target rtc, and the
+            # primal and dual step lengths: frac times the longest step that
+            # keeps each side PSD, capped at 1, from one eigvalsh per group
+            # over both sides' scaled directions
+            rhs = -r_d
             for gi_, g in enumerate(groups):
                 t_st = g_inv_t[gi_] @ rtc[gi_] @ g_inv[gi_]
                 t_st += u_w[gi_] @ r_p[gi_] @ u_w[gi_]
                 rhs += g.inner_all(t_st, k_total)
-            def solve_eq(vec):
-                return sla.cho_solve(h_fact, vec / jac) / jac
-
             dx = solve_eq(rhs)
             # iterative refinement; the normal matrix gets ill-conditioned
             # near convergence despite the equilibration, and any ridge
             # perturbs the factorization
             for _ in range(2 if ridge > 0.0 else 1):
                 dx += solve_eq(rhs - h_mat @ dx)
-            ds, dz, ds_sc, dz_sc = [], [], [], []
+            ds, ds_sc, dz_sc = [], [], []
+            longest = np.full(2, np.inf)
             for gi_, g in enumerate(groups):
                 d_s = g.apply(dx) - r_p[gi_]
-                d_s_scaled = g_inv[gi_] @ d_s @ g_inv_t[gi_]
-                d_z_scaled = rtc[gi_] - d_s_scaled
+                d_s_sc = g_inv[gi_] @ d_s @ g_inv_t[gi_]
+                d_z_sc = rtc[gi_] - d_s_sc
+                w = np.linalg.eigvalsh(
+                    np.stack([d_s_sc, d_z_sc]) / rt_outer[gi_])
+                w_min = w[:, :, 0].min(axis=1)
+                neg = w_min < -1e-14
+                longest[neg] = np.minimum(longest[neg], -1.0 / w_min[neg])
                 ds.append(d_s)
-                ds_sc.append(d_s_scaled)
-                dz_sc.append(d_z_scaled)
-                dz.append(g_inv_t[gi_] @ d_z_scaled @ g_inv[gi_])
-            return dx, ds, dz, ds_sc, dz_sc
+                ds_sc.append(d_s_sc)
+                dz_sc.append(d_z_sc)
+            a_p, a_d = np.minimum(1.0, frac * longest)
+            return dx, ds, ds_sc, dz_sc, float(a_p), float(a_d)
 
-        def max_step(scaled_dirs):
-            amax = np.inf
-            for gi_ in range(len(groups)):
-                w = np.linalg.eigvalsh(scaled_dirs[gi_] / rt_outer[gi_])
-                w_min = float(np.min(w[:, 0]))
-                if w_min < -1e-14:
-                    amax = min(amax, -1.0 / w_min)
-            return amax
-
-        rtc_aff = [-lam[gi_][:, :, None] * eye[g.size]
-                   for gi_, g in enumerate(groups)]
-        try:
-            _, _, _, dss_a, dzs_a = directions(rtc_aff)
-        except (np.linalg.LinAlgError, ValueError):
-            return fail("numerical", it)
-        ap_aff = min(1.0, max_step(dss_a))
-        ad_aff = min(1.0, max_step(dzs_a))
-        mu_aff = sum(
-            float(np.sum((lam[gi_][:, :, None] * eye[g.size] + ap_aff * dss_a[gi_])
-                         * (lam[gi_][:, :, None] * eye[g.size] + ad_aff * dzs_a[gi_])))
-            for gi_, g in enumerate(groups)
-        ) / dim
-        sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
-
-        rtc = []
-        for gi_, g in enumerate(groups):
-            lam_sq = lam[gi_] ** 2
-            corr = (sigma * mu - lam_sq)[:, :, None] * eye[g.size]
-            corr -= 0.5 * (dss_a[gi_] @ dzs_a[gi_] + dzs_a[gi_] @ dss_a[gi_])
-            denom = 0.5 * (lam[gi_][:, :, None] + lam[gi_][:, None, :])
-            rtc.append(corr / denom)
-        try:
-            dx, ds, dz, dss, dzs = directions(rtc)
-        except (np.linalg.LinAlgError, ValueError):
-            return fail("numerical", it)
-
-        # single step length for both sides; push the fraction toward 1 as
-        # the iterate converges
+        # push the corrector's step fraction toward 1 as the iterate
+        # converges
         frac = min(0.999, max(settings.step_fraction,
                               1.0 - 10.0 * max(relgap, pinf, dinf)))
-        alpha = min(1.0, frac * max_step(dss), frac * max_step(dzs))
+        lam_diag = [lam[gi_][:, :, None] * np.eye(g.size)
+                    for gi_, g in enumerate(groups)]
+        try:
+            # predictor: the affine-scaling direction, full step lengths
+            _, _, dss_a, dzs_a, ap_aff, ad_aff = step(
+                [-ld for ld in lam_diag], 1.0)
+            mu_aff = sum(
+                float(np.sum((lam_diag[gi_] + ap_aff * dss_a[gi_])
+                             * (lam_diag[gi_] + ad_aff * dzs_a[gi_])))
+                for gi_ in range(len(groups))
+            ) / dim
+            sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
 
-        if alpha < 1e-3:
-            # recovery sweep: a damped pure-centering step escapes stalls
-            # caused by corrector overshoot near a degenerate face
-            rtc_center = []
+            # corrector: centering at sigma * mu plus the second-order term
+            rtc = []
             for gi_, g in enumerate(groups):
                 lam_sq = lam[gi_] ** 2
-                corr = (mu - lam_sq)[:, :, None] * eye[g.size]
+                corr = (sigma * mu - lam_sq)[:, :, None] * np.eye(g.size)
+                corr -= 0.5 * (dss_a[gi_] @ dzs_a[gi_] + dzs_a[gi_] @ dss_a[gi_])
                 denom = 0.5 * (lam[gi_][:, :, None] + lam[gi_][:, None, :])
-                rtc_center.append(corr / denom)
-            try:
-                dx_c, ds_c, dz_c, dss_c, dzs_c = directions(rtc_center)
-            except (np.linalg.LinAlgError, ValueError):
-                return fail("numerical", it)
-            alpha_c = min(1.0, frac * max_step(dss_c), frac * max_step(dzs_c))
-            if alpha_c > alpha:
-                dx, ds, dz = dx_c, ds_c, dz_c
-                alpha = alpha_c
+                rtc.append(corr / denom)
+            dx, ds, _, dzs, a_p, a_d = step(rtc, frac)
+        except (np.linalg.LinAlgError, ValueError):
+            return fail("numerical", it)
+        # a single step length for both sides
+        alpha = min(a_p, a_d)
 
         if alpha < _MIN_STEP:
             stall_count += 1
@@ -452,7 +444,8 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
         x = x + alpha * dx
         for gi_ in range(len(groups)):
             s_new = s_st[gi_] + alpha * ds[gi_]
-            z_new = z_st[gi_] + alpha * dz[gi_]
+            dz = g_inv_t[gi_] @ dzs[gi_] @ g_inv[gi_]
+            z_new = z_st[gi_] + alpha * dz
             s_st[gi_] = 0.5 * (s_new + s_new.transpose(0, 2, 1))
             z_st[gi_] = 0.5 * (z_new + z_new.transpose(0, 2, 1))
 

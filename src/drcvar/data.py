@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -352,8 +353,7 @@ class SweepReport:
 
 
 def _sweep_task(train, test, alpha, radius, method, settings, scaler):
-    import time
-
+    t0 = time.perf_counter()
     try:
         if method == "dr_cvar":
             fit = fit_dr_cvar(train, RiskSpec(alpha=alpha, radius=radius),
@@ -372,7 +372,8 @@ def _sweep_task(train, test, alpha, radius, method, settings, scaler):
         return SweepRow(radius=radius, method=method,
                         in_sample_value=float("nan"), oos_cvar=float("nan"),
                         oos_mse=float("nan"), gamma=float("nan"),
-                        solve_time=0.0, status=exc.status)
+                        solve_time=time.perf_counter() - t0,
+                        status=exc.status)
 
 
 def radius_sweep(train: EmpiricalDistribution, test: EmpiricalDistribution,

@@ -61,11 +61,6 @@ class GammaDomain:
     lambda_max: float
     lower_open: bool
 
-    @property
-    def lower(self) -> float:
-        """Infimum of the feasible set (0 when lambda_max < 0)."""
-        return max(self.lambda_max, 0.0)
-
     def contains(self, gamma: float) -> bool:
         """Membership test, honoring the open/closed lower boundary."""
         if gamma < 0.0:
@@ -124,17 +119,13 @@ def phi(tau: float, gamma: float, z: np.ndarray, qf: QuadraticForm) -> float:
     Returns ((gamma z + q)' Qg^{-1} (gamma z + q) - gamma ||z||^2 - tau)_+
     for gamma strictly inside the feasible domain, and the infinity marker
     below or on an excluded boundary (where the inner supremum is unbounded
-    or only attained in the limit).
+    or only attained in the limit).  Evaluated by the batched
+    :func:`_transformed_losses` that :func:`dual_objective` runs.
     """
-    z = np.asarray(z, dtype=float)
-    dom = gamma_domain(qf)
-    if gamma < 0.0 or (dom.lower_open and gamma <= dom.lambda_max):
+    if not gamma_domain(qf).contains(gamma):
         return INF_MARKER
-    qg = gamma * np.eye(qf.dim) - qf.Q
-    w = gamma * z + qf.q
-    sol = sla.solve(qg, w, assume_a="pos")
-    val = float(w @ sol - gamma * (z @ z) - tau)
-    return max(val, 0.0)
+    atom = np.asarray(z, dtype=float)[None, :]
+    return max(float(_transformed_losses(gamma, qf, atom)[0]) - tau, 0.0)
 
 
 def phi_oracle(tau: float, gamma: float, z: np.ndarray, qf: QuadraticForm,
@@ -150,7 +141,7 @@ def phi_oracle(tau: float, gamma: float, z: np.ndarray, qf: QuadraticForm,
     z = np.asarray(z, dtype=float)
     d = z.shape[0]
     dom = gamma_domain(qf)
-    if gamma < 0.0 or (dom.lower_open and gamma <= dom.lambda_max):
+    if not dom.contains(gamma):
         raise ValueError(
             f"gamma={gamma} is outside the interior of the feasible domain "
             f"(lambda_max={dom.lambda_max}); the supremum is unbounded there"
@@ -209,8 +200,7 @@ def dual_objective(gamma: float, qf: QuadraticForm, dist: EmpiricalDistribution,
     infinity marker when gamma is outside the strict interior of the
     feasible domain.
     """
-    dom = gamma_domain(qf)
-    if gamma < 0.0 or (dom.lower_open and gamma <= dom.lambda_max):
+    if not gamma_domain(qf).contains(gamma):
         return INF_MARKER
     try:
         ell = _transformed_losses(gamma, qf, dist.atoms)

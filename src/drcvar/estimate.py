@@ -192,11 +192,7 @@ def fit_nominal_cvar(dist: EmpiricalDistribution, alpha: float,
             f"nominal CVaR fit failed: solver status '{sol.status}'",
             solution=sol,
         )
-    n, m = dist.n, dist.m
-    a_mat = sol.x[problem.layout_slice("A")].reshape((n, m), order="F")
-    b_vec = sol.x[problem.layout_slice("b")]
-    tau = float(sol.x[problem.layout_slice("tau")][0])
-    est = AffineEstimator(A=a_mat, b=b_vec)
+    est, _, tau, _ = extract_estimator(problem, sol)
     value = float(sol.objective_value)
     elapsed = time.perf_counter() - t0
 

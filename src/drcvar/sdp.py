@@ -51,6 +51,7 @@ of entry pairs (see :mod:`drcvar.kernels`).  The slots of the builders are
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -356,6 +357,7 @@ def build_nominal_cvar_sdp(dist: EmpiricalDistribution, alpha: float) -> SdpProb
 def extract_estimator(problem: SdpProblem, sol) -> tuple[AffineEstimator, float, float, np.ndarray]:
     """Unpack an optimal solution into (estimator, gamma, tau, s).
 
+    gamma is NaN when the layout has none (the nominal CVaR program).
     Validates sign constraints and the PSD residual of every block at the
     returned point; a violation raises with the worst offender named.
     """
@@ -366,7 +368,9 @@ def extract_estimator(problem: SdpProblem, sol) -> tuple[AffineEstimator, float,
     x = sol.x
     a_mat = x[problem.layout_slice("A")].reshape((n, m), order="F")
     b_vec = x[problem.layout_slice("b")]
-    gamma = float(x[problem.layout_slice("gamma")][0])
+    gamma = math.nan
+    if "gamma" in problem.var_layout:
+        gamma = float(x[problem.layout_slice("gamma")][0])
     tau = float(x[problem.layout_slice("tau")][0])
     s = x[problem.layout_slice("s")].copy()
 

@@ -198,6 +198,26 @@ class TestReporting:
         assert isinstance(sol, SdpSolution)
 
 
+class TestCholeskyFloored:
+    def test_slightly_negative_eigenvalue_is_floored(self):
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        bad = (q * np.array([3.0, 1.0, 0.5, -1e-12])) @ q.T
+        good = q @ np.diag([2.0, 1.5, 1.0, 0.5]) @ q.T
+        stack = np.stack([good, bad])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(stack)
+        factor, repaired = conic._cholesky_floored(stack)
+        assert np.array_equal(repaired, repaired.transpose(0, 2, 1))
+        assert np.min(np.linalg.eigvalsh(repaired)) > 0.0
+        np.testing.assert_allclose(factor @ factor.transpose(0, 2, 1),
+                                   repaired, atol=1e-12)
+        np.testing.assert_allclose(repaired, stack, atol=1e-11)
+        healthy = stack[:1]
+        factor, out = conic._cholesky_floored(healthy)
+        assert out is healthy
+
+
 class TestSettings:
     def test_validation(self):
         with pytest.raises(ValueError):

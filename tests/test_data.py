@@ -5,6 +5,7 @@ import datetime
 import numpy as np
 import pytest
 
+from drcvar.conic import SolverSettings
 from drcvar.data import (
     DataError,
     Dataset,
@@ -238,6 +239,13 @@ class TestRadiusSweep:
         for a, b in zip(r1.rows, r4.rows):
             assert a.in_sample_value == b.in_sample_value
             assert a.oos_cvar == b.oos_cvar
+
+    def test_failed_rows_are_timed(self):
+        train, test = self._dists(15)
+        report = radius_sweep(train, test, 0.4, [0.1],
+                              settings=SolverSettings(max_iter=1))
+        assert [r.status for r in report.rows] == ["max_iter", "max_iter"]
+        assert all(r.solve_time > 0.0 for r in report.rows)
 
     def test_csv_schema(self, tmp_path):
         train, test = self._dists(13)
