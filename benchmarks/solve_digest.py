@@ -3,10 +3,12 @@
 
 Solves the robust and nominal CVaR SDPs at N = 6 and prints one line per
 solve: profile, data, seed, method, alpha, radius, status, iterations, the
-objective's ``repr`` and the sha256 of the returned x.  The last line is
-the sha256 over all of them.  Two checkouts whose solver iterates agree bit
-for bit print the same digest, so a solver change that must not move the
-iterates can show that it did not.
+objective's ``repr`` and the sha256 of the returned x.  Then one
+``iterations PROFILE SUM`` line per profile gives the summed iteration
+count, and the last line is the sha256 over the per-solve lines (the sums
+are not hashed).  Two checkouts whose solver iterates agree bit for bit
+print the same digest, so a solver change that must not move the iterates
+can show that it did not.
 
 The grid: the first 6 days of ``synth_spiky(SpikyConfig(days=7), seed)``
 for seeds 1, 6 and 1009, normalized as in ``split_and_normalize``, both as
@@ -59,8 +61,10 @@ def problems(dist):
 
 def main():
     total = hashlib.sha256()
+    iterations = {}
     for profile in ("strict", "fast"):
         settings = default_solver_settings(profile)
+        iterations[profile] = 0
         for seed in SEEDS:
             for label, dist in datasets(seed):
                 for method, alpha, radius, problem in problems(dist):
@@ -72,6 +76,9 @@ def main():
                             f"{sol.objective_value!r} {x_sha}")
                     print(line, flush=True)
                     total.update(line.encode() + b"\n")
+                    iterations[profile] += sol.iterations
+    for profile, count in iterations.items():
+        print(f"iterations {profile} {count}")
     print(f"digest {total.hexdigest()}")
 
 

@@ -46,7 +46,7 @@ from .model import (
     loss_eval,
 )
 from .risk import RiskReport, cvar_discrete
-from .sdp import SdpProblem, build_drcvar_sdp, extract_estimator, write_problem_dump
+from .sdp import SdpProblem, build_drcvar_sdp, extract_estimator
 
 __version__ = "0.1.0"
 
@@ -90,5 +90,4 @@ __all__ = [
     "worst_case_cvar",
     "worst_case_mse_closed",
     "write_dataset",
-    "write_problem_dump",
 ]

@@ -67,8 +67,8 @@ class FitResult:
     nominal_cvar; nominal_mse sets it to the normal-equation residual scale
     (effectively zero).  gamma/tau are NaN where the method has no such
     variable.  boundary_gamma flags fits whose optimal gamma sits against
-    the spectral lower boundary, where the infimum is approached within the
-    strict-feasibility margin rather than attained.
+    the spectral lower boundary, where the infimum is approached rather
+    than attained.
     """
 
     estimator: AffineEstimator
@@ -92,8 +92,7 @@ def default_solver_settings(profile: str = "strict") -> SolverSettings:
 
 
 def fit_dr_cvar(dist: EmpiricalDistribution, spec: RiskSpec,
-                settings: SolverSettings | None = None,
-                strict_margin: float | None = None) -> FitResult:
+                settings: SolverSettings | None = None) -> FitResult:
     """Fit the robust CVaR-optimal affine estimator.
 
     Builds and solves the conic reformulation, then evaluates the
@@ -108,7 +107,7 @@ def fit_dr_cvar(dist: EmpiricalDistribution, spec: RiskSpec,
         return fit_nominal_cvar(dist, spec.alpha, settings=settings)
 
     t0 = time.perf_counter()
-    problem = build_drcvar_sdp(dist, spec, strict_margin=strict_margin)
+    problem = build_drcvar_sdp(dist, spec)
     sol = solve_sdp(problem, settings)
     if sol.status != "optimal":
         raise FitError(
@@ -132,10 +131,7 @@ def fit_dr_cvar(dist: EmpiricalDistribution, spec: RiskSpec,
         )
 
     smax_sq = float(np.linalg.svd(est.error_matrix(), compute_uv=False)[0] ** 2)
-    margin = problem.meta["strict_margin"]
-    boundary = cert.at_boundary or (
-        gamma - smax_sq <= max(1e-6 * (1.0 + smax_sq), 10.0 * margin)
-    )
+    boundary = cert.at_boundary or gamma - smax_sq <= 1e-6 * (1.0 + smax_sq)
     return FitResult(
         estimator=est, optimal_value=float(value), gamma=gamma, tau=tau,
         method="dr_cvar", cross_check_gap=float(gap), boundary_gamma=boundary,

@@ -7,9 +7,9 @@ inequalities, each an affine symmetric-matrix map
 
 Matrices are stored sparsely as packed lower-triangular entries (an entry at
 (p, q) with p > q implies its mirror).  The robust CVaR estimation problem
-for an empirical distribution with atoms z_i = (x_i, y_i) builds one (d+n)
-feasibility block, N per-atom blocks of size (1+d+n), and 1x1 nonnegativity
-blocks for gamma and each epigraph slack s_i, with decision vector
+for an empirical distribution with atoms z_i = (x_i, y_i) builds N per-atom
+blocks of size (1+d+n), a 1x1 nonnegativity block for each epigraph slack
+s_i and, at alpha = 1, one for tau, with decision vector
 
     x = [vec(A) column-major, b, gamma, tau, s_1..s_N].
 
@@ -33,6 +33,11 @@ like 1/radius, and that cancellation stalls the interior-point iterates
 far from the optimum; in displacement coordinates gamma enters only as
 gamma I_d and nothing cancels.
 
+The paper's strict feasibility LMI [[gamma I_d, F'], [F, I_n]] PSD and
+gamma >= 0 get no blocks of their own: that matrix is the trailing
+principal submatrix of every atom block, and a principal submatrix of a
+PSD matrix is PSD.
+
 Matrix-variable slot
 --------------------
 Every block that depends on the estimator does so through the one matrix
@@ -45,7 +50,6 @@ coefficient entries from the declaration, and the solver assembles the
 slot's part of the normal matrix from R and C by dense products instead
 of entry pairs (see :mod:`drcvar.kernels`).  The slots of the builders are
 
-    feasibility   R = d + (0..n-1),      c_v = e_{n+v},            c_m = 0
     atom_i        R = 1 + d + (0..n-1),  c_v = e_{1+n+v} - y_iv e_0, c_m = -e_0
     nominal atom  R = 1 + (0..n-1),      c_v = -y_iv e_0,          c_m = -e_0
 """
@@ -201,17 +205,7 @@ def _make_block(size, name, const_entries, coef_entries,
                     coef_var=var, coef_p=p, coef_q=q, coef_v=v, slot=slot)
 
 
-def default_strict_margin(dist: EmpiricalDistribution) -> float:
-    """Margin by which the strict feasibility LMI is relaxed to closed form.
-
-    Interior-point iterates stay strictly feasible, so shifting the strict
-    inequality by this amount perturbs the optimum by the same order.
-    """
-    return 1e-9 * (1.0 + float(np.max(np.abs(dist.atoms))))
-
-
-def build_drcvar_sdp(dist: EmpiricalDistribution, spec: RiskSpec,
-                     strict_margin: float | None = None) -> SdpProblem:
+def build_drcvar_sdp(dist: EmpiricalDistribution, spec: RiskSpec) -> SdpProblem:
     """Assemble the robust CVaR estimation SDP for an empirical distribution.
 
     Parameters
@@ -221,19 +215,12 @@ def build_drcvar_sdp(dist: EmpiricalDistribution, spec: RiskSpec,
     spec : RiskSpec
         Tail level alpha and transport radius (must be positive; radius zero
         belongs to the nominal fitting path).
-    strict_margin : float, optional
-        Relaxation of the strict feasibility LMI; defaults to
-        :func:`default_strict_margin`.
     """
     if spec.radius <= 0.0:
         raise ValueError(
             "the SDP reformulation requires radius > 0; use the nominal "
             "fitting path for radius = 0"
         )
-    if strict_margin is None:
-        strict_margin = default_strict_margin(dist)
-    if strict_margin < 0.0:
-        raise ValueError("strict_margin must be nonnegative")
 
     n, m, d = dist.n, dist.m, dist.dim
     atoms = dist.atoms
@@ -254,18 +241,6 @@ def build_drcvar_sdp(dist: EmpiricalDistribution, spec: RiskSpec,
 
     blocks = []
 
-    # Feasibility block [[gamma I_d, F'], [F, I_n]] - margin*I, size d+n.
-    size = d + n
-    const = [(j, j, -strict_margin) for j in range(size)]
-    for u in range(n):
-        const.append((d + u, u, -1.0))  # constant -I_n part of F
-        const.append((d + u, d + u, 1.0))
-    coef = [(i_gamma, j, j, 1.0) for j in range(d)]
-    cols = np.zeros((size, m + 1))
-    cols[n + np.arange(m), np.arange(m)] = 1.0
-    slot = MatrixSlot(offset=0, rows=d + np.arange(n), cols=cols)
-    blocks.append(_make_block(size, "feasibility", const, coef, slot))
-
     # Per-atom epigraph blocks, size 1 + d + n, in displacement coordinates
     # (see the module docstring); e_i = x_i - A y_i - b fills column 0.
     for i in range(big_n):
@@ -282,8 +257,7 @@ def build_drcvar_sdp(dist: EmpiricalDistribution, spec: RiskSpec,
         slot = MatrixSlot(offset=0, rows=1 + d + np.arange(n), cols=cols)
         blocks.append(_make_block(1 + d + n, f"atom_{i}", const, coef, slot))
 
-    # Nonnegativity of gamma and the epigraph slacks.
-    blocks.append(_make_block(1, "gamma_nonneg", [], [(i_gamma, 0, 0, 1.0)]))
+    # Nonnegativity of the epigraph slacks.
     for i in range(big_n):
         blocks.append(_make_block(1, f"s_nonneg_{i}", [], [(i_s(i), 0, 0, 1.0)]))
     if spec.alpha == 1.0:
@@ -302,8 +276,7 @@ def build_drcvar_sdp(dist: EmpiricalDistribution, spec: RiskSpec,
         "s": (nm + n + 2, k_total),
     }
     meta = {"kind": "dr_cvar", "n": n, "m": m, "N": big_n,
-            "alpha": spec.alpha, "radius": spec.radius,
-            "strict_margin": strict_margin}
+            "alpha": spec.alpha, "radius": spec.radius}
     return SdpProblem(num_vars=k_total, objective=c, blocks=tuple(blocks),
                       var_layout=layout, meta=meta)
 
@@ -391,35 +364,3 @@ def extract_estimator(problem: SdpProblem, sol) -> tuple[AffineEstimator, float,
             f"eigenvalue {worst} < -1e-7"
         )
     return AffineEstimator(A=a_mat, b=b_vec), gamma, tau, s
-
-
-def objective_value(problem: SdpProblem, x: np.ndarray) -> float:
-    """c'x for a candidate point (used by cross-checks)."""
-    return float(problem.objective @ x)
-
-
-def write_problem_dump(problem: SdpProblem, path) -> None:
-    """Write the sparse text dump of a problem for external cross-checks.
-
-    Format (documented, stable): comment header lines starting with ``#``;
-    one ``obj VAR VALUE`` line per objective nonzero; then one line per
-    matrix nonzero ``BLOCK ROW COL VAR VALUE`` where BLOCK, ROW, COL and VAR
-    are 1-based, VAR 0 denotes the constant matrix, and only the lower
-    triangle (ROW >= COL) is listed.
-    """
-    with open(path, "w") as fh:
-        fh.write("# drcvar sdp dump format v1\n")
-        fh.write(f"# num_vars {problem.num_vars}\n")
-        fh.write(f"# num_blocks {len(problem.blocks)}\n")
-        sizes = " ".join(str(b.size) for b in problem.blocks)
-        fh.write(f"# block_sizes {sizes}\n")
-        for k in np.flatnonzero(problem.objective):
-            fh.write(f"obj {k + 1} {problem.objective[k]:.17g}\n")
-        for j, blk in enumerate(problem.blocks, start=1):
-            for p, q, v in zip(blk.const_p, blk.const_q, blk.const_v):
-                if v != 0.0:
-                    fh.write(f"{j} {p + 1} {q + 1} 0 {v:.17g}\n")
-            for var, p, q, v in zip(blk.coef_var, blk.coef_p, blk.coef_q,
-                                    blk.coef_v):
-                if v != 0.0:
-                    fh.write(f"{j} {p + 1} {q + 1} {var + 1} {v:.17g}\n")

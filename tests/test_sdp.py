@@ -2,7 +2,7 @@
 
 Checks block/variable counting, frozen entry values, round-trips of the
 sparse affine maps against direct dense construction, both Schur-complement
-equivalences, solution extraction, and the text dump format.
+equivalences, and solution extraction.
 """
 
 import numpy as np
@@ -21,21 +21,17 @@ from drcvar.sdp import (
     _make_block,
     build_drcvar_sdp,
     build_nominal_cvar_sdp,
-    default_strict_margin,
     extract_estimator,
-    write_problem_dump,
 )
 
 SEED = 31415
 
 
-def small_problem(n=1, m=1, big_n=2, alpha=0.5, radius=1.0, margin=0.0,
-                  seed=SEED):
+def small_problem(n=1, m=1, big_n=2, alpha=0.5, radius=1.0, seed=SEED):
     rng = np.random.default_rng(seed)
     dist = EmpiricalDistribution(atoms=rng.standard_normal((big_n, n + m)),
                                  n=n, m=m)
-    return dist, build_drcvar_sdp(dist, RiskSpec(alpha=alpha, radius=radius),
-                                  strict_margin=margin)
+    return dist, build_drcvar_sdp(dist, RiskSpec(alpha=alpha, radius=radius))
 
 
 def dense_atom_block(z, n, m, a_mat, b_vec, gamma, tau, s_i):
@@ -62,7 +58,7 @@ class TestCounting:
         _, prob = small_problem(n=1, m=1, big_n=2)
         assert prob.num_vars == 6
         sizes = sorted(b.size for b in prob.blocks)
-        assert sizes == [1, 1, 1, 3, 4, 4]
+        assert sizes == [1, 1, 4, 4]
         assert prob.var_layout == {
             "A": (0, 1), "b": (1, 2), "gamma": (2, 3), "tau": (3, 4),
             "s": (4, 6),
@@ -79,11 +75,10 @@ class TestCounting:
 class TestFrozenEntries:
     def test_atom_block_at_origin(self):
         dist = EmpiricalDistribution(atoms=np.zeros((1, 2)), n=1, m=1)
-        prob = build_drcvar_sdp(dist, RiskSpec(alpha=0.5, radius=1.0),
-                                strict_margin=0.0)
+        prob = build_drcvar_sdp(dist, RiskSpec(alpha=0.5, radius=1.0))
         # x = [A, b, gamma, tau, s_0] = [0, 0, 1, 0, 0]
         x = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-        atom_block = prob.blocks[1]
+        atom_block = prob.blocks[0]
         assert atom_block.name == "atom_0"
         expected = np.array([
             [0.0, 0.0, 0.0, 0.0],
@@ -103,8 +98,7 @@ class TestRoundTrip:
         big_n = int(rng.integers(1, 6))
         dist = EmpiricalDistribution(
             atoms=rng.standard_normal((big_n, n + m)), n=n, m=m)
-        prob = build_drcvar_sdp(dist, RiskSpec(alpha=0.3, radius=0.7),
-                                strict_margin=0.0)
+        prob = build_drcvar_sdp(dist, RiskSpec(alpha=0.3, radius=0.7))
         x = rng.standard_normal(prob.num_vars)
         a_mat = x[prob.layout_slice("A")].reshape((n, m), order="F")
         b_vec = x[prob.layout_slice("b")]
@@ -112,19 +106,11 @@ class TestRoundTrip:
         tau = x[prob.layout_slice("tau")][0]
         s = x[prob.layout_slice("s")]
 
-        f_mat = np.hstack([-np.eye(n), a_mat])
-        d = n + m
-        feas = np.vstack([
-            np.hstack([gamma * np.eye(d), f_mat.T]),
-            np.hstack([f_mat, np.eye(n)]),
-        ])
-        assert np.max(np.abs(prob.blocks[0].evaluate(x) - feas)) <= 1e-14
-
         for i in range(big_n):
             direct = dense_atom_block(dist.atoms[i], n, m, a_mat, b_vec,
                                       gamma, tau, s[i])
             t_mat = displacement_congruence(dist.atoms[i], n)
-            built = prob.blocks[1 + i].evaluate(x)
+            built = prob.blocks[i].evaluate(x)
             assert np.max(np.abs(built - t_mat @ direct @ t_mat.T)) <= 1e-14
 
     @pytest.mark.parametrize("kind", ["dr_cvar", "nominal_cvar"])
@@ -139,8 +125,6 @@ class TestRoundTrip:
         expected = {}
         if kind == "dr_cvar":
             prob = build_drcvar_sdp(dist, RiskSpec(alpha=0.3, radius=0.7))
-            expected["feasibility"] = [(v * n + u, d + u, n + v, 1.0)
-                                       for u in range(n) for v in range(m)]
             rows, cols = (lambda u: 1 + d + u), (lambda v: [(1 + n + v, 1.0)])
         else:
             prob = build_nominal_cvar_sdp(dist, 0.3)
@@ -187,21 +171,36 @@ class TestRoundTrip:
 
 
 class TestSchurEquivalences:
-    def test_feasibility_block_iff_gamma_exceeds_top_singular_value(self):
+    def test_atom_blocks_imply_strict_feasibility(self):
+        # every atom block's trailing principal submatrix is the paper's
+        # strict feasibility LMI [[gamma I_d, F'], [F, I_n]], so the builder
+        # needs no block of its own for it, nor for gamma >= 0
         rng = np.random.default_rng(SEED + 1)
         for _ in range(25):
             n = int(rng.integers(1, 4))
             m = int(rng.integers(1, 4))
-            a_mat = rng.standard_normal((n, m))
+            big_n = int(rng.integers(1, 4))
+            dist = EmpiricalDistribution(
+                atoms=rng.standard_normal((big_n, n + m)), n=n, m=m)
+            prob = build_drcvar_sdp(dist, RiskSpec(alpha=0.3, radius=0.7))
+            names = {blk.name for blk in prob.blocks}
+            assert not names & {"feasibility", "gamma_nonneg"}
+            x = rng.standard_normal(prob.num_vars)
+            a_mat = x[prob.layout_slice("A")].reshape((n, m), order="F")
             f_mat = np.hstack([-np.eye(n), a_mat])
             smax_sq = np.linalg.svd(f_mat, compute_uv=False)[0] ** 2
             gamma = float(smax_sq * rng.uniform(0.5, 1.5))
-            block = np.vstack([
+            x[prob.layout_slice("gamma")] = gamma
+            feas = np.vstack([
                 np.hstack([gamma * np.eye(n + m), f_mat.T]),
                 np.hstack([f_mat, np.eye(n)]),
             ])
-            is_psd = np.linalg.eigvalsh(block)[0] >= -1e-11
+            is_psd = np.linalg.eigvalsh(feas)[0] >= -1e-11
             assert is_psd == (gamma >= smax_sq - 1e-9)
+            atoms = [blk for blk in prob.blocks if blk.name.startswith("atom_")]
+            assert len(atoms) == big_n
+            for blk in atoms:
+                assert np.array_equal(blk.evaluate(x)[1:, 1:], feas)
 
     def test_atom_block_iff_scalar_hinge(self):
         rng = np.random.default_rng(SEED + 2)
@@ -243,8 +242,7 @@ class TestExtract:
             a_flat.reshape((2, 3), order="F")[:, 0], a_flat[:2])
 
     def test_extract_from_solve(self):
-        dist, prob = small_problem(n=1, m=1, big_n=3, alpha=0.5, radius=0.3,
-                                   margin=1e-9)
+        dist, prob = small_problem(n=1, m=1, big_n=3, alpha=0.5, radius=0.3)
         sol = solve_sdp(prob)
         assert sol.status == "optimal"
         est, gamma, tau, s = extract_estimator(prob, sol)
@@ -279,51 +277,3 @@ class TestExtract:
                         dual_blocks=sol.dual_blocks)
         with pytest.raises(RuntimeError):
             extract_estimator(prob, bad)
-
-
-class TestDump:
-    def test_format(self, tmp_path):
-        dist, prob = small_problem(n=1, m=1, big_n=2)
-        path = tmp_path / "problem.dump"
-        write_problem_dump(prob, path)
-        lines = path.read_text().splitlines()
-        header = [ln for ln in lines if ln.startswith("#")]
-        assert any("num_vars 6" in ln for ln in header)
-        obj = [ln for ln in lines if ln.startswith("obj ")]
-        assert len(obj) == len(np.flatnonzero(prob.objective))
-        body = [ln for ln in lines if not ln.startswith(("#", "obj"))]
-        for ln in body:
-            block, row, col, var, value = ln.split()
-            assert 1 <= int(block) <= len(prob.blocks)
-            assert int(row) >= int(col) >= 1
-            assert 0 <= int(var) <= prob.num_vars
-            float(value)
-
-    def test_dump_reconstructs(self, tmp_path):
-        # parse the dump back and compare one affine map against evaluate()
-        rng = np.random.default_rng(SEED + 5)
-        dist, prob = small_problem(n=2, m=1, big_n=2, margin=0.0)
-        path = tmp_path / "problem.dump"
-        write_problem_dump(prob, path)
-        x = rng.standard_normal(prob.num_vars)
-        mats = [np.zeros((b.size, b.size)) for b in prob.blocks]
-        for ln in path.read_text().splitlines():
-            if ln.startswith(("#", "obj")):
-                continue
-            bi, row, col, var, value = ln.split()
-            bi, row, col, var = int(bi) - 1, int(row) - 1, int(col) - 1, int(var)
-            weight = float(value) * (x[var - 1] if var > 0 else 1.0)
-            mats[bi][row, col] += weight
-            if row != col:
-                mats[bi][col, row] += weight
-        for mat, blk in zip(mats, prob.blocks):
-            assert np.max(np.abs(mat - blk.evaluate(x))) <= 1e-12
-
-
-def test_default_margin_scales_with_data():
-    rng = np.random.default_rng(SEED + 6)
-    small = EmpiricalDistribution(atoms=0.01 * rng.standard_normal((3, 2)),
-                                  n=1, m=1)
-    big = EmpiricalDistribution(atoms=100.0 * rng.standard_normal((3, 2)),
-                                n=1, m=1)
-    assert default_strict_margin(big) > default_strict_margin(small)
