@@ -20,10 +20,6 @@ from .data import (
 )
 from .dual import (
     DualCertificate,
-    GammaDomain,
-    dual_objective,
-    gamma_domain,
-    phi,
     worst_case_cvar,
     worst_case_mse_closed,
 )
@@ -43,10 +39,9 @@ from .model import (
     RiskSpec,
     affine_to_quadratic,
     loss_batch,
-    loss_eval,
 )
 from .risk import RiskReport, cvar_discrete
-from .sdp import SdpProblem, build_drcvar_sdp, extract_estimator
+from .sdp import SdpProblem, build_drcvar_sdp
 
 __version__ = "0.1.0"
 
@@ -57,7 +52,6 @@ __all__ = [
     "EmpiricalDistribution",
     "FitError",
     "FitResult",
-    "GammaDomain",
     "MinMaxScaler",
     "QuadraticForm",
     "RiskReport",
@@ -71,18 +65,13 @@ __all__ = [
     "build_drcvar_sdp",
     "cvar_discrete",
     "default_solver_settings",
-    "dual_objective",
     "evaluate_out_of_sample",
-    "extract_estimator",
     "fit_dr_cvar",
     "fit_dr_mse",
     "fit_nominal_cvar",
     "fit_nominal_mse",
-    "gamma_domain",
     "load_dataset",
     "loss_batch",
-    "loss_eval",
-    "phi",
     "radius_sweep",
     "solve_sdp",
     "split_and_normalize",

@@ -23,7 +23,6 @@ import numpy as np
 
 from .data import (
     DataError,
-    Dataset,
     MinMaxScaler,
     SpikyConfig,
     evaluate_out_of_sample,
@@ -62,7 +61,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _settings():
     profile = os.environ.get("DRCVAR_TOL_PROFILE", "strict")
-    return default_solver_settings(profile)
+    try:
+        return default_solver_settings(profile)
+    except ValueError as exc:
+        raise _UsageError(f"DRCVAR_TOL_PROFILE: {exc}") from None
+
+
+def _risk_spec(alpha: float, radius: float = 0.0) -> RiskSpec:
+    """The risk flags as a RiskSpec; a value out of range is a usage error."""
+    try:
+        return RiskSpec(alpha=alpha, radius=radius)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _emit(doc: dict, out_path=None) -> None:
@@ -127,9 +137,9 @@ def _fit_doc(fit, alpha, radius, scaler, data_info) -> dict:
 
 
 def _cmd_fit(args) -> int:
-    train, _, scaler = _prepare(args)
+    spec = _risk_spec(args.alpha, args.radius)
     settings = _settings()
-    spec = RiskSpec(alpha=args.alpha, radius=args.radius)
+    train, _, scaler = _prepare(args)
     if args.method == "dr_cvar":
         fit = fit_dr_cvar(train, spec, settings=settings)
     elif args.method == "dr_mse":
@@ -146,6 +156,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    alpha = _risk_spec(args.alpha).alpha
     with open(args.estimator) as fh:
         fit_doc = json.load(fh)
     if fit_doc.get("kind") != "fit_result":
@@ -167,7 +178,7 @@ def _cmd_eval(args) -> int:
             raise DataError(f"no days on or after {args.split_date}")
     rows = scaler.transform(ds.rows()[mask])
     test = EmpiricalDistribution(atoms=rows, n=24, m=24)
-    metrics = evaluate_out_of_sample(est, test, args.alpha, scaler)
+    metrics = evaluate_out_of_sample(est, test, alpha, scaler)
     doc = {
         "kind": "eval_metrics",
         "alpha": metrics.alpha,
@@ -184,25 +195,32 @@ def _cmd_eval(args) -> int:
 
 def _radii_from_args(args):
     if args.radii:
-        radii = sorted(float(tok) for tok in args.radii.split(","))
-        if any(r <= 0 for r in radii):
-            raise _UsageError("--radii values must be positive")
-        return radii
-    lo, hi = args.radii_log_from, args.radii_log_to
-    if hi < lo:
-        raise _UsageError("--radii-log-to must be >= --radii-log-from")
-    count = int(round((hi - lo) * args.per_decade)) + 1
-    return list(np.logspace(lo, hi, count))
+        try:
+            radii = sorted(float(tok) for tok in args.radii.split(","))
+        except ValueError:
+            raise _UsageError(f"bad --radii '{args.radii}'") from None
+    else:
+        lo, hi = args.radii_log_from, args.radii_log_to
+        if hi < lo:
+            raise _UsageError("--radii-log-to must be >= --radii-log-from")
+        if not args.per_decade > 0:
+            raise _UsageError("--per-decade must be positive")
+        count = int(round((hi - lo) * args.per_decade)) + 1
+        radii = list(np.logspace(lo, hi, count))
+    if not all(math.isfinite(r) and r > 0 for r in radii):
+        raise _UsageError("radii must be positive and finite")
+    return radii
 
 
 def _cmd_sweep(args) -> int:
+    alpha = _risk_spec(args.alpha).alpha
+    radii = _radii_from_args(args)
+    settings = _settings()
     train, test, scaler = _prepare(args)
     if test is None:
         raise _UsageError("sweep requires --split-date")
-    radii = _radii_from_args(args)
-    report = radius_sweep(train, test, args.alpha, radii,
-                          settings=_settings(), scaler=scaler,
-                          threads=args.threads)
+    report = radius_sweep(train, test, alpha, radii, settings=settings,
+                          scaler=scaler, threads=args.threads)
     doc = {"kind": "sweep_report", **report.to_dict()}
     for row in doc["rows"]:
         for key in ("in_sample", "oos_cvar", "oos_mse", "gamma",
@@ -234,9 +252,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check_dual(args) -> int:
-    train, _, scaler = _prepare(args)
-    spec = RiskSpec(alpha=args.alpha, radius=args.radius)
-    fit = fit_dr_cvar(train, spec, settings=_settings())
+    spec = _risk_spec(args.alpha, args.radius)
+    if spec.radius == 0.0:
+        raise _UsageError("check-dual requires --radius > 0")
+    settings = _settings()
+    train, _, _ = _prepare(args)
+    fit = fit_dr_cvar(train, spec, settings=settings)
     from .dual import worst_case_cvar
     from .model import affine_to_quadratic
 
@@ -263,12 +284,15 @@ def _cmd_check_dual(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    config = SpikyConfig(
-        days=args.days, spike_prob=args.spike_prob,
-        spike_scale=args.spike_scale, noise=args.noise,
-        spike_ramp=args.spike_ramp,
-        start_date=_parse_date_flag(args.start_date),
-    )
+    start_date = _parse_date_flag(args.start_date)
+    try:
+        config = SpikyConfig(
+            days=args.days, spike_prob=args.spike_prob,
+            spike_scale=args.spike_scale, noise=args.noise,
+            spike_ramp=args.spike_ramp, start_date=start_date,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     ds = synth_spiky(config, seed=args.seed)
     write_dataset(ds, args.out)
     with open(args.out, "rb") as fh:

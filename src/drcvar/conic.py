@@ -55,6 +55,8 @@ from .sdp import SdpProblem
 _DIVERGENCE_FACTOR = 1e8
 _CERT_TOL = 1e-8
 _MIN_STEP = 1e-10
+# the corrector's least fraction of the step to the cone boundary
+_STEP_FRACTION = 0.99
 
 
 @dataclass(frozen=True)
@@ -64,13 +66,10 @@ class SolverSettings:
     tol_gap: float = 1e-8
     tol_feas: float = 1e-8
     max_iter: int = 200
-    step_fraction: float = 0.99
 
     def __post_init__(self):
         if self.tol_gap <= 0.0 or self.tol_feas <= 0.0:
             raise ValueError("tolerances must be positive")
-        if not (0.0 < self.step_fraction < 1.0):
-            raise ValueError("step_fraction must be in (0, 1)")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -405,7 +404,7 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
 
         # push the corrector's step fraction toward 1 as the iterate
         # converges
-        frac = min(0.999, max(settings.step_fraction,
+        frac = min(0.999, max(_STEP_FRACTION,
                               1.0 - 10.0 * max(relgap, pinf, dinf)))
         lam_diag = [lam[gi_][:, :, None] * np.eye(g.size)
                     for gi_, g in enumerate(groups)]

@@ -139,14 +139,14 @@ def _parse_float(text: str, where: str) -> float:
         raise DataError(f"{where}: unparseable value '{text}'") from exc
 
 
-def load_dataset(path, schema: str = "auto") -> Dataset:
+def load_dataset(path) -> Dataset:
     """Load a day-ahead market CSV in wide or long layout.
 
-    Wide layout: header ``date,p00..p23,l00..l23``, one row per day.  Long
-    layout: header ``date,hour,price,load``, 24 rows per day, pivoted here.
-    ``schema`` may be 'wide', 'long', or 'auto' (detect from the header).
-    Missing hours, missing columns, or unparseable rows raise
-    :class:`DataError` naming the offending line or column.
+    Long layout: header exactly ``date,hour,price,load``, 24 rows per day,
+    pivoted here.  Any other header is read as the wide layout
+    ``date,p00..p23,l00..l23``, one row per day.  Missing hours, missing
+    columns, or unparseable rows raise :class:`DataError` naming the
+    offending line or column.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -155,9 +155,7 @@ def load_dataset(path, schema: str = "auto") -> Dataset:
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        if schema == "auto":
-            schema = "long" if header == _LONG_HEADER else "wide"
-        if schema == "wide":
+        if header != _LONG_HEADER:
             missing = [c for c in _WIDE_HEADER if c not in header]
             if missing:
                 raise DataError(f"{path}: missing column(s) {missing}")
@@ -180,41 +178,35 @@ def load_dataset(path, schema: str = "auto") -> Dataset:
                 raise DataError(f"{path}: no data rows")
             return Dataset(dates=tuple(dates), prices=np.array(price_rows),
                            loads=np.array(load_rows))
-        if schema == "long":
-            if header != _LONG_HEADER:
+        per_day: dict = {}
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            where = f"{path}:{lineno}"
+            if len(row) != 4:
+                raise DataError(f"{where}: expected 4 fields, got {len(row)}")
+            day = _parse_date(row[0], where)
+            hour = int(_parse_float(row[1], where))
+            if not (0 <= hour < HOURS):
+                raise DataError(f"{where}: hour {hour} out of range")
+            slot = per_day.setdefault(day, {})
+            if hour in slot:
+                raise DataError(f"{where}: duplicate hour {hour} for {day}")
+            slot[hour] = (_parse_float(row[2], where),
+                          _parse_float(row[3], where))
+        if not per_day:
+            raise DataError(f"{path}: no data rows")
+        dates = sorted(per_day)
+        for day in dates:
+            missing_hours = sorted(set(range(HOURS)) - set(per_day[day]))
+            if missing_hours:
                 raise DataError(
-                    f"{path}: long layout requires header "
-                    f"{','.join(_LONG_HEADER)}")
-            per_day: dict = {}
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                where = f"{path}:{lineno}"
-                if len(row) != 4:
-                    raise DataError(f"{where}: expected 4 fields, got {len(row)}")
-                day = _parse_date(row[0], where)
-                hour = int(_parse_float(row[1], where))
-                if not (0 <= hour < HOURS):
-                    raise DataError(f"{where}: hour {hour} out of range")
-                slot = per_day.setdefault(day, {})
-                if hour in slot:
-                    raise DataError(f"{where}: duplicate hour {hour} for {day}")
-                slot[hour] = (_parse_float(row[2], where),
-                              _parse_float(row[3], where))
-            if not per_day:
-                raise DataError(f"{path}: no data rows")
-            dates = sorted(per_day)
-            for day in dates:
-                missing_hours = sorted(set(range(HOURS)) - set(per_day[day]))
-                if missing_hours:
-                    raise DataError(
-                        f"{path}: date {day} missing hour(s) {missing_hours}")
-            prices = np.array([[per_day[d][h][0] for h in range(HOURS)]
-                               for d in dates])
-            loads = np.array([[per_day[d][h][1] for h in range(HOURS)]
-                              for d in dates])
-            return Dataset(dates=tuple(dates), prices=prices, loads=loads)
-    raise DataError(f"unknown schema '{schema}'")
+                    f"{path}: date {day} missing hour(s) {missing_hours}")
+        prices = np.array([[per_day[d][h][0] for h in range(HOURS)]
+                           for d in dates])
+        loads = np.array([[per_day[d][h][1] for h in range(HOURS)]
+                          for d in dates])
+        return Dataset(dates=tuple(dates), prices=prices, loads=loads)
 
 
 def write_dataset(ds: Dataset, path) -> None:

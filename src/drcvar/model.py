@@ -190,16 +190,6 @@ def affine_to_quadratic(est: AffineEstimator) -> QuadraticForm:
     return QuadraticForm(Q=F.T @ F, q=F.T @ est.b, c=float(est.b @ est.b))
 
 
-def loss_eval(est: AffineEstimator, z: np.ndarray) -> float:
-    """Squared estimation error ||x - A y - b||^2 at one joint sample z = (x, y)."""
-    z = _as_finite_array(z, "z", 1)
-    n, m = est.n, est.m
-    if z.shape[0] != n + m:
-        raise ValueError(f"z has length {z.shape[0]}, expected n + m = {n + m}")
-    resid = z[:n] - est.predict(z[n:])
-    return float(resid @ resid)
-
-
 def loss_batch(est: AffineEstimator, dist: EmpiricalDistribution) -> np.ndarray:
     """Per-atom squared errors of ``est`` under ``dist`` (length-N vector)."""
     if dist.n != est.n or dist.m != est.m:

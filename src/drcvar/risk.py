@@ -70,12 +70,3 @@ def cvar_discrete(losses, alpha: float) -> RiskReport:
     tail_count = int(np.sum(ls > var))
     return RiskReport(cvar=cvar, var=var, tail_count=tail_count)
 
-
-def cvar_objective(losses, alpha: float, tau: float) -> float:
-    """The variational CVaR objective tau + mean((l - tau)_+) / alpha.
-
-    Its infimum over tau equals ``cvar_discrete(losses, alpha).cvar``; useful
-    for consistency checks against the closed-form sort.
-    """
-    ls = np.asarray(losses, dtype=float).ravel()
-    return float(tau + np.mean(np.maximum(ls - tau, 0.0)) / alpha)

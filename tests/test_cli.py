@@ -185,6 +185,43 @@ class TestErrors:
         doc = json.loads(capsys.readouterr().out)
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv,profile", [
+        pytest.param(["fit", "--data", "{data}", "--alpha", "2"], None,
+                     id="fit-alpha"),
+        pytest.param(["fit", "--data", "{data}", "--radius", "-1"], None,
+                     id="fit-radius"),
+        pytest.param(["eval", "--data", "{data}", "--estimator",
+                      "{tmp}/fit.json", "--alpha", "0"], None,
+                     id="eval-alpha"),
+        pytest.param(["sweep", "--data", "{data}", "--split-date",
+                      "2013-05-08", "--per-decade", "-1"], None,
+                     id="sweep-per-decade"),
+        pytest.param(["sweep", "--data", "{data}", "--split-date",
+                      "2013-05-08", "--alpha", "2", "--radii", "0.3"], None,
+                     id="sweep-alpha"),
+        pytest.param(["sweep", "--data", "{data}", "--split-date",
+                      "2013-05-08", "--radii", "0.3,nan"], None,
+                     id="sweep-radii-nan"),
+        pytest.param(["sweep", "--data", "{data}", "--split-date",
+                      "2013-05-08", "--radii", "0.3,big"], None,
+                     id="sweep-radii-text"),
+        pytest.param(["gen-data", "--seed", "1", "--days", "0",
+                      "--out", "{tmp}/x.csv"], None, id="gen-data-days"),
+        pytest.param(["fit", "--data", "{data}", "--method", "nominal_mse"],
+                     "bogus", id="tol-profile"),
+        pytest.param(["check-dual", "--data", "{data}", "--radius", "0"],
+                     None, id="check-dual-radius"),
+    ])
+    def test_out_of_range_value_is_usage_error(self, capsys, synth_csv,
+                                               tmp_path, monkeypatch, argv,
+                                               profile):
+        if profile is not None:
+            monkeypatch.setenv("DRCVAR_TOL_PROFILE", profile)
+        argv = [a.format(data=synth_csv, tmp=tmp_path) for a in argv]
+        code, doc = run_cli(capsys, argv)
+        assert code == doc["exit_code"] == EXIT_USAGE
+        assert not (tmp_path / "x.csv").exists()
+
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "x.csv"

@@ -223,8 +223,6 @@ class TestSettings:
         with pytest.raises(ValueError):
             SolverSettings(tol_gap=0.0)
         with pytest.raises(ValueError):
-            SolverSettings(step_fraction=1.0)
-        with pytest.raises(ValueError):
             SolverSettings(max_iter=0)
 
     def test_loose_tolerances_still_solve(self):

@@ -10,8 +10,8 @@ from drcvar.model import (
     RiskSpec,
     affine_to_quadratic,
     loss_batch,
-    loss_eval,
 )
+from oracles import loss_eval
 
 SEED = 1234
 

@@ -9,7 +9,8 @@ safety grid).
 import numpy as np
 import pytest
 
-from drcvar.risk import cvar_discrete, cvar_objective
+from drcvar.risk import cvar_discrete
+from oracles import cvar_objective
 
 
 def cvar_via_minimization(losses, alpha):

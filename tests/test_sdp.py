@@ -8,7 +8,6 @@ equivalences, and solution extraction.
 import numpy as np
 import pytest
 
-import drcvar.dual as dual
 from drcvar.conic import solve_sdp
 from drcvar.model import (
     AffineEstimator,
@@ -23,6 +22,7 @@ from drcvar.sdp import (
     build_nominal_cvar_sdp,
     extract_estimator,
 )
+from oracles import phi
 
 SEED = 31415
 
@@ -261,7 +261,7 @@ class TestExtract:
         est, gamma, tau, s = extract_estimator(prob, sol)
         qf = affine_to_quadratic(est)
         for i in range(dist.size):
-            hinge = dual.phi(tau - qf.c, gamma, dist.atoms[i], qf)
+            hinge = phi(tau - qf.c, gamma, dist.atoms[i], qf)
             assert s[i] >= hinge - 1e-6
 
     def test_rejects_non_optimal(self):
