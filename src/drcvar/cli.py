@@ -155,19 +155,34 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _cmd_eval(args) -> int:
-    alpha = _risk_spec(args.alpha).alpha
-    with open(args.estimator) as fh:
+def _read_fit_result(path):
+    """The estimator and scaler of a fit_result document at ``path``.
+
+    A document of another kind, or one without the estimator or the
+    normalization, is a DataError.
+    """
+    with open(path) as fh:
         fit_doc = json.load(fh)
-    if fit_doc.get("kind") != "fit_result":
-        raise DataError(f"{args.estimator}: not a fit_result document")
-    est = AffineEstimator(A=np.array(fit_doc["estimator"]["A"]),
-                          b=np.array(fit_doc["estimator"]["b"]))
+    if not isinstance(fit_doc, dict) or fit_doc.get("kind") != "fit_result":
+        raise DataError(f"{path}: not a fit_result document")
     norm = fit_doc.get("normalization")
     if norm is None:
-        raise DataError(f"{args.estimator}: missing normalization parameters")
-    scaler = MinMaxScaler(minimum=np.array(norm["minimum"]),
-                          maximum=np.array(norm["maximum"]))
+        raise DataError(f"{path}: missing normalization parameters")
+    try:
+        est = AffineEstimator(A=np.array(fit_doc["estimator"]["A"]),
+                              b=np.array(fit_doc["estimator"]["b"]))
+        scaler = MinMaxScaler(minimum=np.array(norm["minimum"]),
+                              maximum=np.array(norm["maximum"]))
+    except KeyError as exc:
+        raise DataError(f"{path}: fit_result lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed fit_result: {exc}") from None
+    return est, scaler
+
+
+def _cmd_eval(args) -> int:
+    alpha = _risk_spec(args.alpha).alpha
+    est, scaler = _read_fit_result(args.estimator)
 
     ds = load_dataset(args.data)
     mask = np.ones(ds.days, dtype=bool)

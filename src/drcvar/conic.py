@@ -17,9 +17,16 @@ Dense linear algebra throughout; blocks of equal size that declare the
 same matrix-variable slot (:class:`drcvar.sdp.MatrixSlot`) are processed
 as one stack, so the per-block factorizations hit batched LAPACK calls
 instead of Python loops, and the normal matrix is assembled by one
-:func:`drcvar.kernels.schur_accumulate` call per stack.  Determinism over
-scalability: sized for problems up to a few hundred variables and blocks
-below ~100x100.
+:func:`drcvar.kernels.schur_accumulate` call per stack, with the stack's
+pair index arrays built once per solve.  The normal matrix H, the
+Fortran-order buffer of its equilibrated Cholesky factor and the
+equilibration scale are allocated once per solve and reused every
+iteration, so no iteration makes a K x K temporary: H is zeroed and
+assembled in place, checked once for finite entries, and its equilibrated
+lower triangle is written into the buffer (with a ridge on the diagonal
+only when one is being tried) and factored there in place; the factor's
+solves skip the finiteness scan.  Determinism over scalability: sized for
+problems up to a few hundred variables and blocks below ~100x100.
 
 Status classification
 ---------------------
@@ -35,11 +42,12 @@ Status classification
                 (c'(x/||x||) <= -1e-8 and min eig of the homogeneous map at
                 x/||x|| >= -1e-8).
 ``max_iter``    iteration cap hit; the best iterate seen is returned.
-``numerical``   no ridge up to 1e-8 on the diagonal of the equilibrated
-                normal matrix made it factor, a scaling factorization or
-                search direction failed, the step length stayed below
-                1e-10 for 3 iterations, or iterates stopped being finite
-                without a certificate; the best iterate seen is returned.
+``numerical``   the normal matrix is not finite, no ridge up to 1e-8 on
+                the diagonal of the equilibrated normal matrix made it
+                factor, a scaling factorization or search direction
+                failed, the step length stayed below 1e-10 for 3
+                iterations, or iterates stopped being finite without a
+                certificate; the best iterate seen is returned.
 """
 from __future__ import annotations
 
@@ -49,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .kernels import schur_accumulate
+from .kernels import pair_index, schur_accumulate
 from .sdp import SdpProblem
 
 _DIVERGENCE_FACTOR = 1e8
@@ -96,12 +104,12 @@ class _Group:
     their flat positions offset per member, so evaluating the affine map or
     its adjoint over the whole group is one scatter or gather.  The Schur
     assembly reads the members' entries outside the slot, ``others`` as
-    (member, var, p, q, v), and, when the members declare a slot, its
-    stacked C matrices ``cols``.
+    (member, var, p, q, v), the index arrays of their pairs, ``pairs``,
+    and, when the members declare a slot, its stacked C matrices ``cols``.
     """
 
     __slots__ = ("size", "idxs", "count", "m0", "var", "flat", "v",
-                 "slot", "cols", "others")
+                 "slot", "cols", "others", "pairs")
 
     def __init__(self, size, idxs, blocks):
         self.size = size
@@ -126,6 +134,7 @@ class _Group:
         self.flat = np.concatenate(flat_parts)
         self.v = np.concatenate(v_parts)
         self.others = tuple(np.concatenate(parts) for parts in zip(*others))
+        self.pairs = pair_index(*self.others, self.count, size)
         self.cols = None
         if self.slot is not None:
             self.cols = np.stack([blocks[j].slot.cols for j in idxs])
@@ -155,18 +164,33 @@ def _build_groups(problem: SdpProblem) -> list[_Group]:
     return [_Group(key[0], idxs, problem.blocks) for key, idxs in ordered]
 
 
-def _normal_matrix(groups, u_w, k_total):
-    """Normal matrix H[k,l] = sum_j <Mk, W_j^-1 Ml W_j^-1>, both triangles.
+def _normal_matrix(groups, u_w, h_mat):
+    """Fill h_mat with H[k,l] = sum_j <Mk, W_j^-1 Ml W_j^-1>, both triangles.
 
-    ``u_w`` holds the (count, s, s) stack of W^-1 per group.  The kernel is
-    called once per group through this module's ``schur_accumulate``
-    attribute, so a wrapper installed there sees every call.
+    ``u_w`` holds the (count, s, s) stack of W^-1 per group; h_mat is
+    zeroed first.  The kernel is called once per group through this
+    module's ``schur_accumulate`` attribute, so a wrapper installed there
+    sees every call.
     """
-    h_mat = np.zeros((k_total, k_total))
+    h_mat.fill(0.0)
     for g, u in zip(groups, u_w):
         slot = () if g.slot is None else (g.slot.rows, g.cols, g.slot.offset)
-        schur_accumulate(h_mat, u, *g.others, *slot)
-    return h_mat
+        schur_accumulate(h_mat, u, *g.others, g.pairs, *slot)
+
+
+def _equilibrate_lower(h_mat, jac, out):
+    """Write H[i,j] / (jac_i jac_j) into the lower triangle of ``out``.
+
+    ``out`` is in Fortran order and ``h_mat`` in C order, so the copy
+    transposes; going one block of 64 columns at a time keeps both sides in
+    cache.  The lower triangle is all that the Cholesky factor and its
+    solves read.
+    """
+    k = jac.shape[0]
+    for j0 in range(0, k, 64):
+        j1 = min(j0 + 64, k)
+        np.divide(h_mat[j0:, j0:j1], np.multiply.outer(jac[j0:], jac[j0:j1]),
+                  out=out[j0:, j0:j1])
 
 
 def _left_svd(stack):
@@ -250,6 +274,13 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
             for g in groups]
     z_st = [np.repeat(eta_d * np.eye(g.size)[None], g.count, axis=0)
             for g in groups]
+
+    # per-solve workspace: the normal matrix, its equilibrated factor
+    # (Fortran order, so LAPACK factors it in place) and the equilibration
+    # scale; local to the call, as radius_sweep solves on threads
+    h_mat = np.empty((k_total, k_total))
+    h_fact = np.zeros((k_total, k_total), order="F")
+    jac = np.empty(k_total)
 
     best = None  # (merit, x, S stacks, Z stacks, iteration)
 
@@ -348,26 +379,32 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
         except np.linalg.LinAlgError:
             return fail("numerical", it)
 
-        h_mat = _normal_matrix(groups, u_w, k_total)
+        _normal_matrix(groups, u_w, h_mat)
+        # the one finiteness check of H; the factor and solves skip theirs
+        if not np.isfinite(h_mat).all():
+            return fail("numerical", it)
 
         # Jacobi equilibration keeps the factorization accurate when the
         # variable scales diverge (e.g. the transport multiplier blows up
         # as the radius shrinks).
-        jac = np.sqrt(np.maximum(np.diag(h_mat), 1e-300))
-        h_eq = h_mat / np.outer(jac, jac)
-        h_fact = None
+        np.sqrt(np.maximum(np.diagonal(h_mat), 1e-300), out=jac)
         ridge = 0.0
-        while h_fact is None:
+        while True:
+            _equilibrate_lower(h_mat, jac, h_fact)
+            if ridge > 0.0:
+                h_fact.flat[::k_total + 1] += ridge
             try:
-                h_fact = sla.cho_factor(
-                    h_eq + ridge * np.eye(k_total), lower=True)
+                sla.cho_factor(h_fact, lower=True, overwrite_a=True,
+                               check_finite=False)
+                break
             except np.linalg.LinAlgError:
                 ridge = 1e-13 if ridge == 0.0 else ridge * 100.0
                 if ridge > 1e-8:
                     return fail("numerical", it)
 
         def solve_eq(vec):
-            return sla.cho_solve(h_fact, vec / jac) / jac
+            return sla.cho_solve((h_fact, True), vec / jac,
+                                 check_finite=False) / jac
 
         def step(rtc, frac):
             # direction for the scaled complementarity target rtc, and the

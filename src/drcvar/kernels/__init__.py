@@ -9,21 +9,24 @@ stack's whole contribution to H, in both triangles.
 
 Contract
 --------
-``schur_accumulate(H, U, member, var, p, q, v, rows=None, cols=None,
-offset=0)`` takes the (count, s, s) stack U of the blocks' scaling
-matrices, the stack's slot (``rows``, ``cols``, ``offset``; none when
-``rows`` is None) and the stack's entries outside the slot.  Entry e puts
-v_e at (p_e, q_e) of the constraint matrix of variable var_e in block
-member_e; the entries are expanded (an off-diagonal nonzero appears once
-per triangle) and sorted by ``member``.
+``schur_accumulate(H, U, member, var, p, q, v, index=None, rows=None,
+cols=None, offset=0)`` takes the (count, s, s) stack U of the blocks'
+scaling matrices, the stack's entries outside the slot, their pair index
+arrays ``index`` and the stack's slot (``rows``, ``cols``, ``offset``;
+none when ``rows`` is None).  Entry e puts v_e at (p_e, q_e) of the
+constraint matrix of variable var_e in block member_e; the entries are
+expanded (an off-diagonal nonzero appears once per triangle) and sorted by
+``member``.  The index arrays (:func:`pair_index`) depend only on the
+entries, so the solver builds them once per stack and passes them on every
+call; the kernel builds them itself when ``index`` is None.
 
 Other x other: every ordered pair (a, b) of entries of the same block i adds
 
     H[var_a, var_b] += v_a v_b U_i[p_a, p_b] U_i[q_a, q_b].
 
-The pairs are formed explicitly, so this part takes memory of the order of
-sum_i t_i^2 for t_i entries of block i outside the slot (about 50 per atom
-block of the robust SDP).
+The pairs are formed explicitly, so the index arrays take memory of the
+order of sum_i t_i^2 for t_i entries of block i outside the slot (about 50
+per atom block of the robust SDP).
 
 Slot x slot: X[u, v], variable ``offset + v*n + u`` with n = len(rows),
 enters block i as a_u c_v' + c_v a_u' with a_u = e_{R_u} for the row set
@@ -35,46 +38,85 @@ C_i = ``cols[i]``.  With U_RR = R'UR, U_CC = C'UC and U_RC = R'UC per block,
 two GEMMs with the block count as inner dimension: the dense-structure
 case of Fujisawa, Kojima and Nakata, "Exploiting sparsity in primal-dual
 interior-point methods for semidefinite programming", Math. Prog. 79
-(1997).
+(1997).  Both GEMMs give their terms with the axes of H permuted, so the
+slot x slot block of H is written one row block (rows (c, u) for a few
+columns c of X) at a time: each block's two GEMMs are restricted to its
+rows, and their transposed tiles, about 512 KB, are added into H while
+they are still in cache.  Adding full-size products instead moves the
+whole block through memory twice per stack.
 
 Slot x other: for a variable k outside the slot, over its entries e,
 
     H[(u,v), k] = 2 sum_e v_e U_i[R_u, p_e] (U_i C_i)[q_e, v].
 """
+from typing import NamedTuple
+
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["schur_accumulate"]
+__all__ = ["PairIndex", "pair_index", "schur_accumulate"]
 
 
-def schur_accumulate(H, U, member, var, p, q, v, rows=None, cols=None,
-                     offset=0):
+class PairIndex(NamedTuple):
+    """Index arrays of one stack's entry pairs; see :func:`pair_index`."""
+
+    present: np.ndarray
+    key: np.ndarray
+    at_p: np.ndarray
+    at_q: np.ndarray
+    weight: np.ndarray
+    scatter: sp.csr_matrix
+
+
+def pair_index(member, var, p, q, v, count, size):
+    """Index arrays of the entry pairs of a stack of ``count`` blocks.
+
+    They depend only on the entries, so a solver builds them once per
+    stack.  ``present`` holds the distinct variables, and each ordered pair
+    (a, b) of entries of one block gets its flat position ``key`` in the
+    present x present block, the flat positions ``at_p``, ``at_q`` of
+    U_i[p_a, p_b] and U_i[q_a, q_b] in the (count, size, size) stack, and
+    ``weight`` v_a v_b.  ``scatter`` is the (present, entries) matrix of
+    2 v_e that sums the slot x other rows per variable.
+    """
+    t = member.shape[0]
+    present, local = np.unique(var, return_inverse=True)
+    k = present.shape[0]
+    # every ordered pair (a, b) of entries that share a block: b runs over
+    # the block of a, whose entries start at start[member[a]]
+    sizes = np.bincount(member, minlength=count)
+    start = np.cumsum(sizes) - sizes
+    reps = sizes[member]
+    a = np.repeat(np.arange(t), reps)
+    ma = member[a]
+    b = start[ma] + np.arange(a.shape[0]) \
+        - np.repeat(np.cumsum(reps) - reps, reps)
+    base = ma * (size * size)
+    return PairIndex(
+        present=present, key=local[a] * k + local[b],
+        at_p=base + p[a] * size + p[b], at_q=base + q[a] * size + q[b],
+        weight=v[a] * v[b],
+        scatter=sp.csr_matrix((2.0 * v, (local, np.arange(t))), shape=(k, t)))
+
+
+def schur_accumulate(H, U, member, var, p, q, v, index=None, rows=None,
+                     cols=None, offset=0):
     """Add one stack's contribution to H (K x K), in both triangles.
 
+    ``index`` is the stack's :func:`pair_index`, built here when not given.
     See the module docstring for the contract.
     """
     count, s, _ = U.shape
     t = member.shape[0]
     if t > 0:
-        present, local = np.unique(var, return_inverse=True)
-        k = present.shape[0]
-        # every ordered pair (a, b) of entries that share a block: b runs
-        # over the block of a, whose entries start at start[member[a]]
-        sizes = np.bincount(member, minlength=count)
-        start = np.cumsum(sizes) - sizes
-        reps = sizes[member]
-        a = np.repeat(np.arange(t), reps)
-        ma = member[a]
-        b = start[ma] + np.arange(a.shape[0]) \
-            - np.repeat(np.cumsum(reps) - reps, reps)
+        if index is None:
+            index = pair_index(member, var, p, q, v, count, s)
+        k = index.present.shape[0]
         flat = U.reshape(-1)
-        base = ma * (s * s)
-        pair = v[a] * v[b]
-        pair *= np.take(flat, base + p[a] * s + p[b])
-        pair *= np.take(flat, base + q[a] * s + q[b])
-        small = np.bincount(local[a] * k + local[b], weights=pair,
-                            minlength=k * k)
-        H[np.ix_(present, present)] += small.reshape(k, k)
+        pair = index.weight * np.take(flat, index.at_p)
+        pair *= np.take(flat, index.at_q)
+        small = np.bincount(index.key, weights=pair, minlength=k * k)
+        H[np.ix_(index.present, index.present)] += small.reshape(k, k)
     if rows is None:
         return
 
@@ -83,17 +125,25 @@ def schur_accumulate(H, U, member, var, p, q, v, rows=None, cols=None,
     n_x = n * w
     slot = slice(offset, offset + n_x)
     uc = U @ cols
-    u_rr = U[:, rows[:, None], rows[None, :]]
+    u_rr = U[:, rows[:, None], rows[None, :]].reshape(count, n * n)
     u_cc2 = 2.0 * (cols.transpose(0, 2, 1) @ uc)
+    # u_cr[i, (c, u)] = U_RC,i[u, c]
     u_cr = uc[:, rows, :].transpose(0, 2, 1).reshape(count, n_x)
-    # H[slot, slot] seen with axes (c, u, c', u')
+    u_cr2 = 2.0 * u_cr
+    # H[slot, slot] seen with axes (c, u, c', u'), written one row block
+    # (c0:c1, :) at a time: a block of about 2^16 entries (512 KB) keeps its
+    # transposed tiles in cache, and a GEMM per block rather than per c
+    # keeps the GEMMs wide enough to run at full speed
     h_xx = H[slot, slot].reshape(w, n, w, n)
-    # 2 sum_i U_CC,i (x) U_RR,i, GEMM axes (c, c', u, u')
-    kron = u_cc2.reshape(count, w * w).T @ u_rr.reshape(count, n * n)
-    h_xx += kron.reshape(w, w, n, n).transpose(0, 2, 1, 3)
-    # 2 sum_i vec(U_CR,i) vec(U_CR,i)', U_CR = U_RC', GEMM axes (c', u, c, u')
-    cross = (2.0 * u_cr).T @ u_cr
-    h_xx += cross.reshape(w, n, w, n).transpose(2, 1, 0, 3)
+    height = max(1, 2**16 // (w * n * n))
+    for c0 in range(0, w, height):
+        c1 = min(c0 + height, w)
+        # 2 sum_i U_CC,i[c, c'] U_RR,i[u, u'], GEMM axes (c, c', u, u')
+        kron = u_cc2[:, c0:c1, :].reshape(count, -1).T @ u_rr
+        h_xx[c0:c1] += kron.reshape(c1 - c0, w, n, n).transpose(0, 2, 1, 3)
+        # 2 sum_i U_RC,i[u, c'] U_RC,i[u', c], GEMM axes (c', u, c, u')
+        cross = u_cr2.T @ u_cr[:, c0 * n:c1 * n]
+        h_xx[c0:c1] += cross.reshape(w, n, c1 - c0, n).transpose(2, 1, 0, 3)
 
     if t == 0:
         return
@@ -101,7 +151,6 @@ def schur_accumulate(H, U, member, var, p, q, v, rows=None, cols=None,
     left = U[member[:, None], rows[None, :], p[:, None]]
     right = uc[member, q, :]
     outer = (right[:, :, None] * left[:, None, :]).reshape(-1, n_x)
-    weights = sp.csr_matrix((2.0 * v, (local, np.arange(t))), shape=(k, t))
-    h_ox = weights @ outer
-    H[present, slot] += h_ox
-    H[slot, present] += h_ox.T
+    h_ox = index.scatter @ outer
+    H[index.present, slot] += h_ox
+    H[slot, index.present] += h_ox.T

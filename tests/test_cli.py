@@ -86,6 +86,28 @@ class TestFitEval:
         assert doc["oos_cvar"] <= 1e-10
         assert doc["n_test"] == 10
 
+    @pytest.mark.parametrize("drop", [
+        "all", "estimator.A", "estimator.b", "normalization.minimum",
+        "normalization.maximum"])
+    def test_eval_rejects_malformed_fit_result(self, capsys, synth_csv,
+                                               tmp_path, drop):
+        fit_path = tmp_path / "fit.json"
+        run_cli(capsys, ["fit", "--data", str(synth_csv),
+                         "--method", "nominal_mse", "--out", str(fit_path)])
+        fit_doc = json.loads(fit_path.read_text())
+        if drop == "all":
+            fit_doc = {"kind": "fit_result"}
+        else:
+            section, key = drop.split(".")
+            del fit_doc[section][key]
+        fit_path.write_text(json.dumps(fit_doc))
+        code, doc = run_cli(capsys, [
+            "eval", "--data", str(synth_csv), "--estimator", str(fit_path),
+            "--alpha", "0.5",
+        ])
+        assert code == doc["exit_code"] == EXIT_DATA
+        assert doc["kind"] == "error"
+
 
 class TestCheckDual:
     def test_single_day_instance(self, capsys, tmp_path, monkeypatch):

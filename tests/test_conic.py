@@ -191,6 +191,27 @@ class TestReporting:
         assert np.all(np.isfinite(sol.x))
         assert np.isfinite(sol.objective_value)
 
+    def test_non_finite_normal_matrix_is_numerical(self, monkeypatch):
+        # a NaN in H ends the solve as 'numerical' with the best iterate
+        # seen so far, instead of escaping the factorization as an error
+        prob, _ = random_kkt_instance(1)
+        accumulate = conic.schur_accumulate
+        calls = []
+
+        def poisoned(h_mat, *args):
+            accumulate(h_mat, *args)
+            calls.append(1)
+            if len(calls) == 9:
+                h_mat[3, 5] = np.nan
+
+        monkeypatch.setattr(conic, "schur_accumulate", poisoned)
+        sol = solve_sdp(prob)
+        assert len(calls) >= 9
+        assert sol.status == "numerical"
+        assert sol.iterations > 0
+        assert np.all(np.isfinite(sol.x))
+        assert np.isfinite(sol.objective_value)
+
     def test_max_iter_status(self):
         prob, _ = random_kkt_instance(11)
         sol = solve_sdp(prob, SolverSettings(max_iter=2))
@@ -216,6 +237,17 @@ class TestCholeskyFloored:
         healthy = stack[:1]
         factor, out = conic._cholesky_floored(healthy)
         assert out is healthy
+
+
+def test_equilibrated_lower_triangle_is_exact():
+    # written in column blocks into a Fortran-order buffer, the lower
+    # triangle must be H / (jac jac') bit for bit
+    rng = np.random.default_rng(8)
+    h_mat = rng.standard_normal((150, 150))
+    jac = rng.uniform(0.5, 2.0, 150)
+    out = np.full((150, 150), np.nan, order="F")
+    conic._equilibrate_lower(h_mat, jac, out)
+    assert np.array_equal(np.tril(out), np.tril(h_mat / np.outer(jac, jac)))
 
 
 class TestSettings:

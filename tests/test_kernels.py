@@ -68,6 +68,35 @@ def test_accumulation_adds_to_existing():
     assert np.allclose(h2, 2.0 * h1)
 
 
+def test_slot_block_in_row_blocks_matches_formula():
+    # at n = 24 rows and m + 1 = 25 columns, the day-ahead shape, the
+    # slot x slot block is written in several row blocks; compare it with
+    # H[(u,v), (u',v')] = 2 sum_i (U_RR[u,u'] U_CC[v,v'] + U_RC[u,v'] U_RC[u',v])
+    rng = np.random.default_rng(23)
+    count, size, n, w, offset = 3, 30, 24, 25, 1
+    base = rng.standard_normal((count, size, size))
+    u = base @ base.transpose(0, 2, 1) + size * np.eye(size)
+    rows = np.arange(3, 3 + n)
+    cols = rng.standard_normal((count, size, w))
+    h = np.zeros((n * w + 2, n * w + 2))
+    none = np.zeros(0, dtype=np.int64)
+    kernels.schur_accumulate(h, u, none, none, none, none, np.zeros(0),
+                             rows=rows, cols=cols, offset=offset)
+    uc = u @ cols
+    u_rr = u[:, rows][:, :, rows]
+    u_cc = cols.transpose(0, 2, 1) @ uc
+    u_rc = uc[:, rows, :]
+    # variable offset + v*n + u, so axes (v, u, v', u')
+    ref = 2.0 * (np.einsum("iuU,ivV->vuVU", u_rr, u_cc)
+                 + np.einsum("iuV,iUv->vuVU", u_rc, u_rc))
+    slot = slice(offset, offset + n * w)
+    got = h[slot, slot]
+    assert np.max(np.abs(got - ref.reshape(n * w, n * w))) \
+        <= 1e-12 * np.max(np.abs(ref))
+    got[...] = 0.0
+    assert not h.any()
+
+
 def random_scalings(rng, groups):
     """Random well-conditioned PSD W^-1 stack per block group."""
     stacks = []
@@ -96,6 +125,12 @@ def stacked_dense_reference(prob, groups, u_w):
     return ref
 
 
+def normal_matrix(prob, groups, u_w):
+    h = np.empty((prob.num_vars, prob.num_vars))
+    conic._normal_matrix(groups, u_w, h)
+    return h
+
+
 @pytest.mark.parametrize("kind", ["dr_cvar", "dr_mse", "nominal_cvar"])
 def test_structured_assembly_matches_pairwise(kind):
     prob = problem(kind, n=4, m=3, big_n=5, seed=7)
@@ -104,7 +139,7 @@ def test_structured_assembly_matches_pairwise(kind):
     groups = conic._build_groups(prob)
     assert any(g.slot is not None for g in groups)
     u_w = random_scalings(np.random.default_rng(11), groups)
-    h = conic._normal_matrix(groups, u_w, prob.num_vars)
+    h = normal_matrix(prob, groups, u_w)
     ref = stacked_dense_reference(prob, groups, u_w)
     assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -113,6 +148,22 @@ def test_structured_assembly_matches_dense_reference():
     prob = problem("dr_cvar", n=2, m=2, big_n=3, seed=3)
     groups = conic._build_groups(prob)
     u_w = random_scalings(np.random.default_rng(5), groups)
-    h = conic._normal_matrix(groups, u_w, prob.num_vars)
+    h = normal_matrix(prob, groups, u_w)
     ref = stacked_dense_reference(prob, groups, u_w)
+    assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_workspace_carries_nothing_over():
+    # n = 3 rows against m + 1 = 5 slot columns, so an assembly that swaps
+    # the row and column axes of the slot block cannot pass
+    prob = problem("dr_cvar", n=3, m=4, big_n=4, seed=13)
+    groups = conic._build_groups(prob)
+    rng = np.random.default_rng(17)
+    first = random_scalings(rng, groups)
+    second = random_scalings(rng, groups)
+    h = np.full((prob.num_vars, prob.num_vars), np.nan)
+    conic._normal_matrix(groups, first, h)
+    conic._normal_matrix(groups, second, h)
+    assert np.array_equal(h, normal_matrix(prob, groups, second))
+    ref = stacked_dense_reference(prob, groups, second)
     assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
