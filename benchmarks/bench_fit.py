@@ -9,7 +9,7 @@ day N (n = m = 24), alpha = 0.1:
 - ``sweep_n30``: ``radius_sweep`` at N = 30 over the 5 radii 1e-3 ... 10,
   on one thread, so ``dr_cvar`` and ``dr_mse`` at each radius: 10 fits.
 
-Each workload runs ``--runs`` times (at least 3) back to back.  Its record
+Each workload runs ``RUNS`` = 3 times back to back.  Its record
 holds the median and every run's seconds, and the status and iteration
 count of every interior-point solve in the run, in call order.  Runs that
 disagree on those are an error, since the solver is deterministic.  The
@@ -21,7 +21,7 @@ To compare two checkouts, run the script with ``PYTHONPATH`` at each
 checkout's ``src`` in turn; the machine's speed drifts, so alternate them.
 
 Usage: PYTHONPATH=src python benchmarks/bench_fit.py --label TEXT
-           [--runs 3] [--out BENCH_fit.json]
+           [--out BENCH_fit.json]
 """
 import argparse
 import datetime
@@ -45,6 +45,7 @@ from drcvar.data import (SpikyConfig, radius_sweep,  # noqa: E402
 
 ALPHA = 0.1
 FIT_RADIUS = 0.01
+RUNS = 3
 SWEEP_RADII = tuple(np.logspace(-3, 1, 5))
 
 
@@ -119,17 +120,14 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--label", required=True,
                         help="what was measured, e.g. the commit")
-    parser.add_argument("--runs", type=int, default=3)
     parser.add_argument("--out", default="BENCH_fit.json")
     args = parser.parse_args()
-    if args.runs < 3:
-        parser.error("--runs must be at least 3")
 
     entry = {"label": args.label,
              "date": datetime.date.today().isoformat(),
-             "env": environment(), "runs": args.runs, "workloads": {}}
+             "env": environment(), "runs": RUNS, "workloads": {}}
     for name, work in workloads().items():
-        entry["workloads"][name] = record = timed_runs(work, args.runs)
+        entry["workloads"][name] = record = timed_runs(work, RUNS)
         print(f"{name}: {record['median_s']} s (runs {record['seconds']}), "
               f"iterations {sum(record['iterations'])}", flush=True)
 

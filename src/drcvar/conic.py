@@ -24,9 +24,11 @@ equilibration scale are allocated once per solve and reused every
 iteration, so no iteration makes a K x K temporary: H is zeroed and
 assembled in place, checked once for finite entries, and its equilibrated
 lower triangle is written into the buffer (with a ridge on the diagonal
-only when one is being tried) and factored there in place; the factor's
-solves skip the finiteness scan.  Determinism over scalability: sized for
-problems up to a few hundred variables and blocks below ~100x100.
+only when one is being tried) and factored, in place as far as SciPy's
+LAPACK wrapper allows (``overwrite_a`` is a permission, not a promise, so
+the solves use the factor it returns); the solves skip the finiteness
+scan.  Determinism over scalability: sized for problems up to a few
+hundred variables and blocks below ~100x100.
 
 Status classification
 ---------------------
@@ -275,9 +277,10 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
     z_st = [np.repeat(eta_d * np.eye(g.size)[None], g.count, axis=0)
             for g in groups]
 
-    # per-solve workspace: the normal matrix, its equilibrated factor
-    # (Fortran order, so LAPACK factors it in place) and the equilibration
-    # scale; local to the call, as radius_sweep solves on threads
+    # per-solve workspace: the normal matrix, the buffer of its equilibrated
+    # factor (Fortran order, so that LAPACK can factor it without a copy)
+    # and the equilibration scale; local to the call, as radius_sweep
+    # solves on threads
     h_mat = np.empty((k_total, k_total))
     h_fact = np.zeros((k_total, k_total), order="F")
     jac = np.empty(k_total)
@@ -394,8 +397,11 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
             if ridge > 0.0:
                 h_fact.flat[::k_total + 1] += ridge
             try:
-                sla.cho_factor(h_fact, lower=True, overwrite_a=True,
-                               check_finite=False)
+                # overwrite_a only permits factoring in place; solve with
+                # the factor returned, which is h_fact when it was
+                factor, _ = sla.cho_factor(h_fact, lower=True,
+                                           overwrite_a=True,
+                                           check_finite=False)
                 break
             except np.linalg.LinAlgError:
                 ridge = 1e-13 if ridge == 0.0 else ridge * 100.0
@@ -403,7 +409,7 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
                     return fail("numerical", it)
 
         def solve_eq(vec):
-            return sla.cho_solve((h_fact, True), vec / jac,
+            return sla.cho_solve((factor, True), vec / jac,
                                  check_finite=False) / jac
 
         def step(rtc, frac):

@@ -212,6 +212,23 @@ class TestReporting:
         assert np.all(np.isfinite(sol.x))
         assert np.isfinite(sol.objective_value)
 
+    def test_factor_made_in_a_copy_solves_the_same(self, monkeypatch):
+        # overwrite_a is only a hint to LAPACK's wrapper: the solver must
+        # solve with the factor cho_factor returns, not with its buffer
+        prob, _ = random_kkt_instance(4)
+        expected = solve_sdp(prob)
+        factor = conic.sla.cho_factor
+
+        def copying(a, lower=False, overwrite_a=False, check_finite=True):
+            return factor(a, lower=lower, overwrite_a=False,
+                          check_finite=check_finite)
+
+        monkeypatch.setattr(conic.sla, "cho_factor", copying)
+        sol = solve_sdp(prob)
+        assert sol.status == expected.status == "optimal"
+        assert sol.iterations == expected.iterations
+        assert np.array_equal(sol.x, expected.x)
+
     def test_max_iter_status(self):
         prob, _ = random_kkt_instance(11)
         sol = solve_sdp(prob, SolverSettings(max_iter=2))
