@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Print a digest of interior-point solves over a fixed grid of problems.
 
-Solves the robust and nominal CVaR SDPs at N = 6 and prints one line per
-solve: profile, data, seed, method, alpha, radius, status, iterations, the
-objective's ``repr`` and the sha256 of the returned x.  Then one
+Solves the CVaR SDP at N = 6 and prints one line per solve: profile,
+data, seed, method, alpha, radius, status, iterations, the objective's
+``repr`` and the sha256 of the returned x.  Then one
 ``iterations PROFILE SUM`` line per profile gives the summed iteration
 count, and the last line is the sha256 over the per-solve lines (the sums
 are not hashed).  Two checkouts whose solver iterates agree bit for bit
@@ -13,8 +13,8 @@ can show that it did not.
 The grid: the first 6 days of ``synth_spiky(SpikyConfig(days=7), seed)``
 for seeds 1, 6 and 1009, normalized as in ``split_and_normalize``, both as
 generated and with coordinates 3 and 30 set to the constant 0.5; the
-``strict`` and ``fast`` profiles; ``nominal_cvar`` at alpha in {0.1, 1};
-``dr_cvar`` at alpha in {0.9/N, 1/N, 0.1, 1} x r in {1e-8, ..., 1e4}.
+``strict`` and ``fast`` profiles; ``nominal_cvar`` (radius 0) at alpha in
+{0.1, 1}; ``dr_cvar`` at alpha in {0.9/N, 1/N, 0.1, 1} x r in {1e-8, ..., 1e4}.
 That is 360 solves, a few minutes on one core.  BLAS is pinned to one
 thread before NumPy is imported, as the digest depends on it.
 
@@ -32,7 +32,7 @@ from drcvar.conic import solve_sdp  # noqa: E402
 from drcvar.data import SpikyConfig, split_and_normalize, synth_spiky  # noqa: E402
 from drcvar.estimate import default_solver_settings  # noqa: E402
 from drcvar.model import EmpiricalDistribution, RiskSpec  # noqa: E402
-from drcvar.sdp import build_drcvar_sdp, build_nominal_cvar_sdp  # noqa: E402
+from drcvar.sdp import build_drcvar_sdp  # noqa: E402
 
 SEEDS = (1, 6, 1009)
 DAYS = 6
@@ -51,12 +51,12 @@ def datasets(seed):
 
 def problems(dist):
     big_n = dist.size
-    for alpha in (0.1, 1.0):
-        yield "nominal_cvar", alpha, 0.0, build_nominal_cvar_sdp(dist, alpha)
-    for alpha in (0.9 / big_n, 1.0 / big_n, 0.1, 1.0):
-        for radius in RADII:
-            spec = RiskSpec(alpha=alpha, radius=radius)
-            yield "dr_cvar", alpha, radius, build_drcvar_sdp(dist, spec)
+    grid = [(alpha, 0.0) for alpha in (0.1, 1.0)]
+    grid += [(alpha, radius) for alpha in (0.9 / big_n, 1.0 / big_n, 0.1, 1.0)
+             for radius in RADII]
+    for alpha, radius in grid:
+        problem = build_drcvar_sdp(dist, RiskSpec(alpha=alpha, radius=radius))
+        yield problem.meta["kind"], alpha, radius, problem
 
 
 def main():

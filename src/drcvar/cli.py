@@ -216,10 +216,13 @@ def _radii_from_args(args):
             raise _UsageError(f"bad --radii '{args.radii}'") from None
     else:
         lo, hi = args.radii_log_from, args.radii_log_to
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise _UsageError("--radii-log-from and --radii-log-to must be "
+                              "finite")
         if hi < lo:
             raise _UsageError("--radii-log-to must be >= --radii-log-from")
-        if not args.per_decade > 0:
-            raise _UsageError("--per-decade must be positive")
+        if not (math.isfinite(args.per_decade) and args.per_decade > 0):
+            raise _UsageError("--per-decade must be positive and finite")
         count = int(round((hi - lo) * args.per_decade)) + 1
         radii = list(np.logspace(lo, hi, count))
     if not all(math.isfinite(r) and r > 0 for r in radii):
@@ -270,6 +273,8 @@ def _cmd_check_dual(args) -> int:
     spec = _risk_spec(args.alpha, args.radius)
     if spec.radius == 0.0:
         raise _UsageError("check-dual requires --radius > 0")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise _UsageError(f"--tol must be positive and finite, got {args.tol}")
     settings = _settings()
     train, _, _ = _prepare(args)
     fit = fit_dr_cvar(train, spec, settings=settings)

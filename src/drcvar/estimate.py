@@ -1,4 +1,4 @@
-"""End-to-end estimator fitting with dual cross-validation.
+"""End-to-end estimator fitting with certified objective values.
 
 Four fitting modes share the FitResult contract:
 
@@ -7,12 +7,13 @@ Four fitting modes share the FitResult contract:
                   independent one-dimensional dual path.
 ``dr_mse``        the same program at alpha = 1 (robust mean squared error).
 ``nominal_mse``   closed-form least squares on the empirical atoms.
-``nominal_cvar``  empirical CVaR minimization (no transport term), also a
-                  conic solve.
+``nominal_cvar``  empirical CVaR minimization: the same conic program at
+                  radius zero, cross-checked against the empirical CVaR
+                  recomputed at the fitted estimator.
 
-Zero-radius requests are routed to the nominal fits: the transport
-reformulation assumes a positive radius, while the nominal problems have
-their own exact convex forms.
+Both conic fits go through one certified path, and both raise when their
+cross-check gap exceeds :data:`CROSS_CHECK_TOL`.  A zero-radius request at
+alpha = 1 is routed to the closed-form least squares fit.
 """
 from __future__ import annotations
 
@@ -33,9 +34,9 @@ from .model import (
     loss_batch,
 )
 from .risk import cvar_discrete
-from .sdp import build_drcvar_sdp, build_nominal_cvar_sdp, extract_estimator
+from .sdp import build_drcvar_sdp, extract_estimator
 
-#: Hard bound on |conic optimum - dual evaluation| for robust fits,
+#: Hard bound on |conic optimum - cross-check value| for conic fits,
 #: relative to 1 + value.  Exceedance is a defect, not a warning.
 CROSS_CHECK_TOL = 1e-5
 
@@ -45,8 +46,8 @@ class FitError(RuntimeError):
 
     ``status`` names the failure: the solver status when the conic solve
     does not reach optimality, or ``cross_check`` when an optimal solve
-    disagrees with the independent dual path by more than
-    :data:`CROSS_CHECK_TOL`.
+    disagrees with its cross-check (the independent dual path, or at
+    radius zero the empirical CVaR) by more than :data:`CROSS_CHECK_TOL`.
     """
 
     def __init__(self, message: str, solution: SdpSolution | None = None,
@@ -64,11 +65,11 @@ class FitResult:
 
     cross_check_gap is |conic value - dual value at the fitted estimator|
     for the robust methods, and |conic value - empirical risk recompute| for
-    nominal_cvar; nominal_mse sets it to the normal-equation residual scale
-    (effectively zero).  gamma/tau are NaN where the method has no such
-    variable.  boundary_gamma flags fits whose optimal gamma sits against
-    the spectral lower boundary, where the infimum is approached rather
-    than attained.
+    nominal_cvar; both are enforced to at most
+    ``CROSS_CHECK_TOL * (1 + |value|)``.  nominal_mse sets it to zero.
+    gamma/tau are NaN where the method has no such variable.
+    boundary_gamma flags fits whose optimal gamma sits against the spectral
+    lower boundary, where the infimum is approached rather than attained.
     """
 
     estimator: AffineEstimator
@@ -99,19 +100,25 @@ def fit_dr_cvar(dist: EmpiricalDistribution, spec: RiskSpec,
     independent dual path at the fitted estimator and records the gap.
     Raises :class:`FitError` when the solver does not certify optimality,
     or with status ``cross_check`` when the gap exceeds
-    ``CROSS_CHECK_TOL * (1 + |value|)``.
+    ``CROSS_CHECK_TOL * (1 + |value|)``.  At radius zero this is
+    :func:`fit_nominal_cvar`, or :func:`fit_nominal_mse` at alpha = 1.
     """
-    if spec.radius == 0.0:
-        if spec.alpha == 1.0:
-            return fit_nominal_mse(dist)
-        return fit_nominal_cvar(dist, spec.alpha, settings=settings)
+    if spec.radius == 0.0 and spec.alpha == 1.0:
+        return fit_nominal_mse(dist)
+    return _certified_fit(dist, spec, settings)
 
+
+def _certified_fit(dist: EmpiricalDistribution, spec: RiskSpec,
+                   settings: SolverSettings | None) -> FitResult:
+    """Solve the CVaR SDP and check its value: against the dual path when
+    the radius is positive, against the empirical CVaR when it is zero."""
     t0 = time.perf_counter()
     problem = build_drcvar_sdp(dist, spec)
+    method = problem.meta["kind"]
     sol = solve_sdp(problem, settings)
     if sol.status != "optimal":
         raise FitError(
-            f"robust CVaR fit failed: solver status '{sol.status}' "
+            f"{method} fit failed: solver status '{sol.status}' "
             f"(gap {sol.duality_gap:.3e}, primal {sol.primal_infeasibility:.3e}, "
             f"dual {sol.dual_infeasibility:.3e} after {sol.iterations} iterations)",
             solution=sol,
@@ -120,21 +127,28 @@ def fit_dr_cvar(dist: EmpiricalDistribution, spec: RiskSpec,
     value = sol.objective_value
     elapsed = time.perf_counter() - t0
 
-    cert = worst_case_cvar(affine_to_quadratic(est), dist, spec)
-    gap = abs(value - cert.value)
+    boundary = False
+    if spec.radius > 0.0:
+        cert = worst_case_cvar(affine_to_quadratic(est), dist, spec)
+        check, check_name = cert.value, "dual value"
+        smax = np.linalg.svd(est.error_matrix(), compute_uv=False)[0]
+        smax_sq = float(smax**2)
+        boundary = (cert.at_boundary
+                    or gamma - smax_sq <= 1e-6 * (1.0 + smax_sq))
+    else:
+        check = cvar_discrete(loss_batch(est, dist), spec.alpha).cvar
+        check_name = "empirical CVaR"
+    gap = abs(value - check)
     if gap > CROSS_CHECK_TOL * (1.0 + abs(value)):
         raise FitError(
-            f"robust CVaR fit failed the dual cross-check: conic value "
-            f"{value:.9g}, dual value {cert.value:.9g} (gap {gap:.3e} > "
+            f"{method} fit failed the cross-check: conic value {value:.9g}, "
+            f"{check_name} {check:.9g} (gap {gap:.3e} > "
             f"{CROSS_CHECK_TOL:g} * (1 + |value|))",
             solution=sol, status="cross_check",
         )
-
-    smax_sq = float(np.linalg.svd(est.error_matrix(), compute_uv=False)[0] ** 2)
-    boundary = cert.at_boundary or gamma - smax_sq <= 1e-6 * (1.0 + smax_sq)
     return FitResult(
         estimator=est, optimal_value=float(value), gamma=gamma, tau=tau,
-        method="dr_cvar", cross_check_gap=float(gap), boundary_gamma=boundary,
+        method=method, cross_check_gap=float(gap), boundary_gamma=boundary,
         solve_time=elapsed, iterations=sol.iterations,
     )
 
@@ -179,22 +193,5 @@ def fit_nominal_mse(dist: EmpiricalDistribution) -> FitResult:
 
 def fit_nominal_cvar(dist: EmpiricalDistribution, alpha: float,
                      settings: SolverSettings | None = None) -> FitResult:
-    """Minimize the empirical CVaR of squared error (no transport term)."""
-    t0 = time.perf_counter()
-    problem = build_nominal_cvar_sdp(dist, alpha)
-    sol = solve_sdp(problem, settings)
-    if sol.status != "optimal":
-        raise FitError(
-            f"nominal CVaR fit failed: solver status '{sol.status}'",
-            solution=sol,
-        )
-    est, _, tau, _ = extract_estimator(problem, sol)
-    value = float(sol.objective_value)
-    elapsed = time.perf_counter() - t0
-
-    empirical = cvar_discrete(loss_batch(est, dist), alpha).cvar
-    return FitResult(
-        estimator=est, optimal_value=value, gamma=math.nan, tau=tau,
-        method="nominal_cvar", cross_check_gap=abs(value - empirical),
-        solve_time=elapsed, iterations=sol.iterations,
-    )
+    """Minimize the empirical CVaR of squared error: the radius-zero SDP."""
+    return _certified_fit(dist, RiskSpec(alpha=alpha, radius=0.0), settings)

@@ -9,7 +9,7 @@ stack's whole contribution to H, in both triangles.
 
 Contract
 --------
-``schur_accumulate(H, U, member, var, p, q, v, index=None, rows=None,
+``schur_accumulate(H, U, member, var, p, q, v, index, rows=None,
 cols=None, offset=0)`` takes the (count, s, s) stack U of the blocks'
 scaling matrices, the stack's entries outside the slot, their pair index
 arrays ``index`` and the stack's slot (``rows``, ``cols``, ``offset``;
@@ -18,7 +18,7 @@ constraint matrix of variable var_e in block member_e; the entries are
 expanded (an off-diagonal nonzero appears once per triangle) and sorted by
 ``member``.  The index arrays (:func:`pair_index`) depend only on the
 entries, so the solver builds them once per stack and passes them on every
-call; the kernel builds them itself when ``index`` is None.
+call.
 
 Other x other: every ordered pair (a, b) of entries of the same block i adds
 
@@ -99,18 +99,16 @@ def pair_index(member, var, p, q, v, count, size):
         scatter=sp.csr_matrix((2.0 * v, (local, np.arange(t))), shape=(k, t)))
 
 
-def schur_accumulate(H, U, member, var, p, q, v, index=None, rows=None,
+def schur_accumulate(H, U, member, var, p, q, v, index, rows=None,
                      cols=None, offset=0):
     """Add one stack's contribution to H (K x K), in both triangles.
 
-    ``index`` is the stack's :func:`pair_index`, built here when not given.
-    See the module docstring for the contract.
+    ``index`` is the stack's :func:`pair_index`.  See the module docstring
+    for the contract.
     """
-    count, s, _ = U.shape
+    count = U.shape[0]
     t = member.shape[0]
     if t > 0:
-        if index is None:
-            index = pair_index(member, var, p, q, v, count, s)
         k = index.present.shape[0]
         flat = U.reshape(-1)
         pair = index.weight * np.take(flat, index.at_p)

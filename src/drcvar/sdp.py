@@ -1,4 +1,4 @@
-"""Block-LMI problem container and assembly of the robust estimation SDP.
+"""Block-LMI problem container and assembly of the CVaR estimation SDP.
 
 A problem is ``minimize c'x`` subject to a list of linear matrix
 inequalities, each an affine symmetric-matrix map
@@ -38,6 +38,15 @@ gamma >= 0 get no blocks of their own: that matrix is the trailing
 principal submatrix of every atom block, and a principal submatrix of a
 PSD matrix is PSD.
 
+At radius zero the ball holds only the nominal distribution, and the
+program is empirical CVaR minimization: the same assembly without gamma,
+x = [vec(A), b, tau, s_1..s_N], and atom blocks of size 1 + n
+
+    [[tau + s_i, e_i'],
+     [e_i,       I_n ]]  PSD,
+
+the displacement form with its gamma I_d rows and columns removed.
+
 Matrix-variable slot
 --------------------
 Every block that depends on the estimator does so through the one matrix
@@ -48,10 +57,11 @@ column v of a block-specific matrix C.  A block declares this as its
 :class:`MatrixSlot`; :func:`_make_block` generates the slot's sparse
 coefficient entries from the declaration, and the solver assembles the
 slot's part of the normal matrix from R and C by dense products instead
-of entry pairs (see :mod:`drcvar.kernels`).  The slots of the builders are
+of entry pairs (see :mod:`drcvar.kernels`).  The slot of atom block i is
 
-    atom_i        R = 1 + d + (0..n-1),  c_v = e_{1+n+v} - y_iv e_0, c_m = -e_0
-    nominal atom  R = 1 + (0..n-1),      c_v = -y_iv e_0,          c_m = -e_0
+    R = 1 + d + (0..n-1),  c_v = e_{1+n+v} - y_iv e_0 (v < m),  c_m = -e_0,
+
+with d = 0 and no e_{1+n+v} term (no F' rows) at radius zero.
 """
 from __future__ import annotations
 
@@ -206,38 +216,35 @@ def _make_block(size, name, const_entries, coef_entries,
 
 
 def build_drcvar_sdp(dist: EmpiricalDistribution, spec: RiskSpec) -> SdpProblem:
-    """Assemble the robust CVaR estimation SDP for an empirical distribution.
+    """Assemble the CVaR estimation SDP for an empirical distribution.
 
     Parameters
     ----------
     dist : EmpiricalDistribution
         Nominal atoms z_i = (x_i, y_i), uniform weights.
     spec : RiskSpec
-        Tail level alpha and transport radius (must be positive; radius zero
-        belongs to the nominal fitting path).
+        Tail level alpha and transport radius.  Radius zero builds the
+        nominal program: no gamma variable and atom blocks of size 1 + n
+        (see the module docstring).
     """
-    if spec.radius <= 0.0:
-        raise ValueError(
-            "the SDP reformulation requires radius > 0; use the nominal "
-            "fitting path for radius = 0"
-        )
-
-    n, m, d = dist.n, dist.m, dist.dim
+    n, m = dist.n, dist.m
     atoms = dist.atoms
     big_n = dist.size
     nm = n * m
-    k_total = nm + n + 2 + big_n
+    robust = spec.radius > 0.0
+    # width of the gamma I_d block of each atom block; none at radius zero
+    d = dist.dim if robust else 0
 
-    i_gamma = nm + n
-    i_tau = nm + n + 1
-
-    def i_s(i):
-        return nm + n + 2 + i
+    i_gamma = nm + n  # only when robust
+    i_tau = i_gamma + 1 if robust else i_gamma
+    i_s0 = i_tau + 1
+    k_total = i_s0 + big_n
 
     c = np.zeros(k_total)
     c[i_tau] = 1.0
-    c[i_gamma] = spec.radius**2 / spec.alpha
-    c[nm + n + 2 :] = 1.0 / (spec.alpha * big_n)
+    if robust:
+        c[i_gamma] = spec.radius**2 / spec.alpha
+    c[i_s0:] = 1.0 / (spec.alpha * big_n)
 
     blocks = []
 
@@ -246,20 +253,22 @@ def build_drcvar_sdp(dist: EmpiricalDistribution, spec: RiskSpec) -> SdpProblem:
     for i in range(big_n):
         x_i, y_i = atoms[i, :n], atoms[i, n:]
         const = [(1 + d + u, 1 + d + u, 1.0) for u in range(n)]
-        const += [(1 + d + u, 1 + u, -1.0) for u in range(n)]
         const += [(1 + d + u, 0, float(x_i[u])) for u in range(n)]
-        coef = [(i_tau, 0, 0, 1.0), (i_s(i), 0, 0, 1.0)]
-        coef += [(i_gamma, 1 + j, 1 + j, 1.0) for j in range(d)]
+        coef = [(i_tau, 0, 0, 1.0), (i_s0 + i, 0, 0, 1.0)]
         cols = np.zeros((1 + d + n, m + 1))
-        cols[1 + n + np.arange(m), np.arange(m)] = 1.0
         cols[0, :m] = -y_i
         cols[0, m] = -1.0
+        if robust:
+            const += [(1 + d + u, 1 + u, -1.0) for u in range(n)]
+            coef += [(i_gamma, 1 + j, 1 + j, 1.0) for j in range(d)]
+            cols[1 + n + np.arange(m), np.arange(m)] = 1.0
         slot = MatrixSlot(offset=0, rows=1 + d + np.arange(n), cols=cols)
         blocks.append(_make_block(1 + d + n, f"atom_{i}", const, coef, slot))
 
     # Nonnegativity of the epigraph slacks.
     for i in range(big_n):
-        blocks.append(_make_block(1, f"s_nonneg_{i}", [], [(i_s(i), 0, 0, 1.0)]))
+        blocks.append(_make_block(1, f"s_nonneg_{i}", [],
+                                  [(i_s0 + i, 0, 0, 1.0)]))
     if spec.alpha == 1.0:
         # at alpha = 1 the objective is invariant along tau -> -inf with
         # s_i = raw_i - tau, an unbounded optimal ray that stalls the
@@ -268,61 +277,13 @@ def build_drcvar_sdp(dist: EmpiricalDistribution, spec: RiskSpec) -> SdpProblem:
         # tau >= 0 never cuts the optimum; it bounds the degenerate face.
         blocks.append(_make_block(1, "tau_nonneg", [], [(i_tau, 0, 0, 1.0)]))
 
-    layout = {
-        "A": (0, nm),
-        "b": (nm, nm + n),
-        "gamma": (i_gamma, i_gamma + 1),
-        "tau": (i_tau, i_tau + 1),
-        "s": (nm + n + 2, k_total),
-    }
-    meta = {"kind": "dr_cvar", "n": n, "m": m, "N": big_n,
-            "alpha": spec.alpha, "radius": spec.radius}
-    return SdpProblem(num_vars=k_total, objective=c, blocks=tuple(blocks),
-                      var_layout=layout, meta=meta)
-
-
-def build_nominal_cvar_sdp(dist: EmpiricalDistribution, alpha: float) -> SdpProblem:
-    """Epigraph form of empirical CVaR minimization over affine estimators.
-
-    One (1+n) block per atom enforces s_i + tau >= ||x_i - A y_i - b||^2 via
-    a Schur complement against the identity; 1x1 blocks keep s nonnegative.
-    Variables are [vec(A) column-major, b, tau, s].
-    """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    n, m = dist.n, dist.m
-    big_n = dist.size
-    nm = n * m
-    k_total = nm + n + 1 + big_n
-    i_tau = nm + n
-
-    c = np.zeros(k_total)
-    c[i_tau] = 1.0
-    c[i_tau + 1 :] = 1.0 / (alpha * big_n)
-
-    blocks = []
-    for i in range(big_n):
-        xi = dist.x[i]
-        const = [(1 + u, 1 + u, 1.0) for u in range(n)]
-        const += [(1 + u, 0, float(xi[u])) for u in range(n)]
-        coef = [(i_tau, 0, 0, 1.0), (i_tau + 1 + i, 0, 0, 1.0)]
-        cols = np.zeros((1 + n, m + 1))
-        cols[0, :m] = -dist.y[i]
-        cols[0, m] = -1.0
-        slot = MatrixSlot(offset=0, rows=1 + np.arange(n), cols=cols)
-        blocks.append(_make_block(1 + n, f"atom_{i}", const, coef, slot))
-    for i in range(big_n):
-        blocks.append(_make_block(
-            1, f"s_nonneg_{i}", [], [(i_tau + 1 + i, 0, 0, 1.0)]))
-    if alpha == 1.0:
-        # same degenerate-ray pin as the robust assembly: losses are
-        # nonnegative, so tau >= 0 is exact at alpha = 1
-        blocks.append(_make_block(1, "tau_nonneg", [],
-                                  [(i_tau, 0, 0, 1.0)]))
-
-    layout = {"A": (0, nm), "b": (nm, nm + n), "tau": (i_tau, i_tau + 1),
-              "s": (i_tau + 1, k_total)}
-    meta = {"kind": "nominal_cvar", "n": n, "m": m, "N": big_n, "alpha": alpha}
+    layout = {"A": (0, nm), "b": (nm, nm + n)}
+    if robust:
+        layout["gamma"] = (i_gamma, i_gamma + 1)
+    layout["tau"] = (i_tau, i_tau + 1)
+    layout["s"] = (i_s0, k_total)
+    meta = {"kind": "dr_cvar" if robust else "nominal_cvar", "n": n, "m": m,
+            "N": big_n, "alpha": spec.alpha, "radius": spec.radius}
     return SdpProblem(num_vars=k_total, objective=c, blocks=tuple(blocks),
                       var_layout=layout, meta=meta)
 
@@ -330,7 +291,7 @@ def build_nominal_cvar_sdp(dist: EmpiricalDistribution, alpha: float) -> SdpProb
 def extract_estimator(problem: SdpProblem, sol) -> tuple[AffineEstimator, float, float, np.ndarray]:
     """Unpack an optimal solution into (estimator, gamma, tau, s).
 
-    gamma is NaN when the layout has none (the nominal CVaR program).
+    gamma is NaN when the layout has none (the radius-zero program).
     Validates sign constraints and the PSD residual of every block at the
     returned point; a violation raises with the worst offender named.
     """

@@ -233,6 +233,21 @@ class TestErrors:
                      "bogus", id="tol-profile"),
         pytest.param(["check-dual", "--data", "{data}", "--radius", "0"],
                      None, id="check-dual-radius"),
+        *[pytest.param(["check-dual", "--data", "{data}", "--tol", tol],
+                       None, id=f"check-dual-tol-{tol}")
+          for tol in ("nan", "inf", "0", "-1")],
+        pytest.param(["sweep", "--data", "{data}", "--split-date",
+                      "2013-05-08", "--radii-log-from", "nan"], None,
+                     id="sweep-log-from-nan"),
+        pytest.param(["sweep", "--data", "{data}", "--split-date",
+                      "2013-05-08", "--radii-log-from=-inf"], None,
+                     id="sweep-log-from-inf"),
+        pytest.param(["sweep", "--data", "{data}", "--split-date",
+                      "2013-05-08", "--radii-log-to", "nan"], None,
+                     id="sweep-log-to-nan"),
+        pytest.param(["sweep", "--data", "{data}", "--split-date",
+                      "2013-05-08", "--per-decade", "inf"], None,
+                     id="sweep-per-decade-inf"),
     ])
     def test_out_of_range_value_is_usage_error(self, capsys, synth_csv,
                                                tmp_path, monkeypatch, argv,

@@ -235,17 +235,29 @@ class TestSettingsAndErrors:
         assert info.value.solution.status == "max_iter"
         assert info.value.status == "max_iter"
 
-    def test_cross_check_bound_enforced(self, monkeypatch):
-        # an optimal solve whose value the dual path does not reproduce is a
-        # defect, reported under its own status
-        def shifted(qf, dist, spec):
+    @pytest.mark.parametrize("path", ["robust", "nominal"])
+    def test_cross_check_bound_enforced(self, monkeypatch, path):
+        # an optimal solve whose value its cross-check (the dual path, or
+        # the empirical CVaR at radius zero) does not reproduce is a defect,
+        # reported under its own status
+        def shifted_dual(qf, dist, spec):
             cert = worst_case_cvar(qf, dist, spec)
             return dataclasses.replace(cert, value=cert.value + 1e-3)
 
-        monkeypatch.setattr("drcvar.estimate.worst_case_cvar", shifted)
+        def shifted_cvar(losses, alpha):
+            report = cvar_discrete(losses, alpha)
+            return dataclasses.replace(report, cvar=report.cvar + 1e-3)
+
         rng = np.random.default_rng(SEED + 14)
         dist = random_dist(rng, n=1, m=1, big_n=4)
+        if path == "robust":
+            monkeypatch.setattr("drcvar.estimate.worst_case_cvar",
+                                shifted_dual)
+            fit, args = fit_dr_cvar, (dist, RiskSpec(alpha=0.5, radius=0.5))
+        else:
+            monkeypatch.setattr("drcvar.estimate.cvar_discrete", shifted_cvar)
+            fit, args = fit_nominal_cvar, (dist, 0.5)
         with pytest.raises(FitError) as info:
-            fit_dr_cvar(dist, RiskSpec(alpha=0.5, radius=0.5))
+            fit(*args)
         assert info.value.status == "cross_check"
         assert info.value.solution.status == "optimal"

@@ -6,7 +6,7 @@ import pytest
 
 from drcvar import conic, kernels
 from drcvar.model import EmpiricalDistribution, RiskSpec
-from drcvar.sdp import build_drcvar_sdp, build_nominal_cvar_sdp
+from drcvar.sdp import build_drcvar_sdp
 
 
 def random_block(rng, k_total, size, entries):
@@ -17,6 +17,12 @@ def random_block(rng, k_total, size, entries):
     base = rng.standard_normal((size, size))
     u = np.ascontiguousarray(base @ base.T + size * np.eye(size))
     return u, var, p, q, v
+
+
+def accumulate(h, u, member, var, p, q, v, **slot):
+    """One kernel call with the stack's pair index built as the solver does."""
+    index = kernels.pair_index(member, var, p, q, v, *u.shape[:2])
+    kernels.schur_accumulate(h, u, member, var, p, q, v, index, **slot)
 
 
 def dense_reference(k_total, u, var, p, q, v):
@@ -41,8 +47,7 @@ def test_numpy_kernel_matches_dense_reference(seed):
     u, var, p, q, v = random_block(rng, k_total, size, entries)
     # the entries as one block
     h = np.zeros((k_total, k_total))
-    kernels.schur_accumulate(h, u[None], np.zeros(entries, dtype=np.int64),
-                             var, p, q, v)
+    accumulate(h, u[None], np.zeros(entries, dtype=np.int64), var, p, q, v)
     ref = dense_reference(k_total, u, var, p, q, v)
     assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
     # the same entries split at random over a stack of three blocks
@@ -50,7 +55,7 @@ def test_numpy_kernel_matches_dense_reference(seed):
     stack = np.stack([u] + [random_block(rng, k_total, size, 1)[0]
                             for _ in range(2)])
     h = np.zeros((k_total, k_total))
-    kernels.schur_accumulate(h, stack, member, var, p, q, v)
+    accumulate(h, stack, member, var, p, q, v)
     ref = sum(dense_reference(k_total, stack[i], var[member == i],
                               p[member == i], q[member == i], v[member == i])
               for i in range(3))
@@ -62,9 +67,9 @@ def test_accumulation_adds_to_existing():
     u, var, p, q, v = random_block(rng, 5, 4, 12)
     member = np.zeros(12, dtype=np.int64)
     h1 = np.zeros((5, 5))
-    kernels.schur_accumulate(h1, u[None], member, var, p, q, v)
+    accumulate(h1, u[None], member, var, p, q, v)
     h2 = h1.copy()
-    kernels.schur_accumulate(h2, u[None], member, var, p, q, v)
+    accumulate(h2, u[None], member, var, p, q, v)
     assert np.allclose(h2, 2.0 * h1)
 
 
@@ -80,8 +85,8 @@ def test_slot_block_in_row_blocks_matches_formula():
     cols = rng.standard_normal((count, size, w))
     h = np.zeros((n * w + 2, n * w + 2))
     none = np.zeros(0, dtype=np.int64)
-    kernels.schur_accumulate(h, u, none, none, none, none, np.zeros(0),
-                             rows=rows, cols=cols, offset=offset)
+    accumulate(h, u, none, none, none, none, np.zeros(0), rows=rows,
+               cols=cols, offset=offset)
     uc = u @ cols
     u_rr = u[:, rows][:, :, rows]
     u_cc = cols.transpose(0, 2, 1) @ uc
@@ -111,7 +116,7 @@ def problem(kind, n, m, big_n, seed):
     dist = EmpiricalDistribution(atoms=rng.standard_normal((big_n, n + m)),
                                  n=n, m=m)
     if kind == "nominal_cvar":
-        return build_nominal_cvar_sdp(dist, 0.2)
+        return build_drcvar_sdp(dist, RiskSpec(alpha=0.2, radius=0.0))
     alpha = 1.0 if kind == "dr_mse" else 0.1
     return build_drcvar_sdp(dist, RiskSpec(alpha=alpha, radius=0.3))
 

@@ -19,7 +19,6 @@ from drcvar.sdp import (
     MatrixSlot,
     _make_block,
     build_drcvar_sdp,
-    build_nominal_cvar_sdp,
     extract_estimator,
 )
 from oracles import phi
@@ -64,12 +63,17 @@ class TestCounting:
             "s": (4, 6),
         }
 
-    def test_radius_zero_rejected(self):
-        rng = np.random.default_rng(SEED)
-        dist = EmpiricalDistribution(atoms=rng.standard_normal((2, 2)),
-                                     n=1, m=1)
-        with pytest.raises(ValueError):
-            build_drcvar_sdp(dist, RiskSpec(alpha=0.5, radius=0.0))
+    def test_radius_zero_drops_gamma(self):
+        # radius zero is the nominal program: atom blocks of size 1 + n and
+        # no gamma variable
+        _, prob = small_problem(n=1, m=1, big_n=2, radius=0.0)
+        assert prob.num_vars == 5
+        sizes = sorted(b.size for b in prob.blocks)
+        assert sizes == [1, 1, 2, 2]
+        assert prob.var_layout == {
+            "A": (0, 1), "b": (1, 2), "tau": (2, 3), "s": (3, 5),
+        }
+        assert prob.meta["kind"] == "nominal_cvar"
 
 
 class TestFrozenEntries:
@@ -85,6 +89,20 @@ class TestFrozenEntries:
             [0.0, 1.0, 0.0, -1.0],
             [0.0, 0.0, 1.0, 0.0],
             [0.0, -1.0, 0.0, 1.0],
+        ])
+        assert np.array_equal(atom_block.evaluate(x), expected)
+
+    def test_atom_block_at_radius_zero(self):
+        # z_0 = (x_0, y_0) = (2, 0.5); x = [A, b, tau, s_0] = [0.5, 0.25, 1, 2]
+        # gives e_0 = 2 - 0.5 * 0.5 - 0.25 = 1.5 and tau + s_0 = 3
+        dist = EmpiricalDistribution(atoms=np.array([[2.0, 0.5]]), n=1, m=1)
+        prob = build_drcvar_sdp(dist, RiskSpec(alpha=0.5, radius=0.0))
+        x = np.array([0.5, 0.25, 1.0, 2.0])
+        atom_block = prob.blocks[0]
+        assert atom_block.name == "atom_0"
+        expected = np.array([
+            [3.0, 1.5],
+            [1.5, 1.0],
         ])
         assert np.array_equal(atom_block.evaluate(x), expected)
 
@@ -127,7 +145,7 @@ class TestRoundTrip:
             prob = build_drcvar_sdp(dist, RiskSpec(alpha=0.3, radius=0.7))
             rows, cols = (lambda u: 1 + d + u), (lambda v: [(1 + n + v, 1.0)])
         else:
-            prob = build_nominal_cvar_sdp(dist, 0.3)
+            prob = build_drcvar_sdp(dist, RiskSpec(alpha=0.3, radius=0.0))
             rows, cols = (lambda u: 1 + u), (lambda v: [])
         for i in range(big_n):
             entries = [(nm + u, rows(u), 0, -1.0) for u in range(n)]
