@@ -8,7 +8,10 @@ CVaR at level alpha equals a one-dimensional convex minimization
                       + CVaR_alpha( (gamma z_i + q)' Qg^{-1} (gamma z_i + q)
                                     - gamma ||z_i||^2 ),
 
-where Qg = gamma*I - Q and G = { gamma >= 0 : Qg positive definite }.  The
+where Qg = gamma*I - Q and G = { gamma >= 0 : Qg positive definite }.  Each
+gamma is evaluated in the eigenbasis of Q that the QuadraticForm stores, by
+a sum that factors nothing, cannot fail inside G and keeps its accuracy as
+gamma grows like 1/r for r -> 0 (see :func:`_transformed_losses`).  The
 scalar objective is convex and coercive, so bracketing plus golden-section
 search locates the minimizer; when the infimum sits at the open lower
 boundary of G the result is flagged rather than extrapolated.
@@ -22,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .model import (
     AffineEstimator,
@@ -88,7 +90,7 @@ class DualCertificate:
 
 def gamma_domain(qf: QuadraticForm) -> GammaDomain:
     """Feasible gamma set for the dual of a quadratic worst-case problem."""
-    lam = float(np.linalg.eigvalsh(qf.Q)[-1])
+    lam = float(qf.eigenvalues[-1])
     return GammaDomain(lambda_max=lam, lower_open=lam >= 0.0)
 
 
@@ -96,15 +98,16 @@ def _transformed_losses(gamma: float, qf: QuadraticForm,
                         atoms: np.ndarray) -> np.ndarray:
     """Per-atom values (gamma z + q)' Qg^{-1} (gamma z + q) - gamma ||z||^2.
 
-    One Cholesky factorization of Qg serves all atoms.
+    With g = gamma, Q = V diag(l) V', z^ = V'z and q^ = V'q, each value is
+    sum_j (g l_j z^_j^2 + 2 g z^_j q^_j + q^_j^2) / (g - l_j), which folds
+    g ||z||^2 into each term rather than subtracting it from a total of the
+    same O(g) size.  In the domain every denominator is positive.
     """
-    d = atoms.shape[1]
-    qg = gamma * np.eye(d) - qf.Q
-    L = np.linalg.cholesky(qg)
-    w = gamma * atoms + qf.q
-    half = sla.solve_triangular(L, w.T, lower=True)
-    quad = np.einsum("ji,ji->i", half, half)
-    return quad - gamma * np.einsum("ij,ij->i", atoms, atoms)
+    lam = qf.eigenvalues
+    zh = atoms @ qf.eigenvectors
+    qh = qf.q @ qf.eigenvectors
+    num = (gamma * lam * zh + 2.0 * gamma * qh) * zh + qh * qh
+    return num @ (1.0 / (gamma - lam))
 
 
 def dual_objective(gamma: float, qf: QuadraticForm, dist: EmpiricalDistribution,
@@ -117,13 +120,8 @@ def dual_objective(gamma: float, qf: QuadraticForm, dist: EmpiricalDistribution,
     """
     if not gamma_domain(qf).contains(gamma):
         return math.inf
-    try:
-        ell = _transformed_losses(gamma, qf, dist.atoms)
-    except np.linalg.LinAlgError:
-        return math.inf
-    if not np.all(np.isfinite(ell)):
-        return math.inf
-    report = cvar_discrete(ell, spec.alpha)
+    report = cvar_discrete(_transformed_losses(gamma, qf, dist.atoms),
+                           spec.alpha)
     return gamma * spec.radius**2 / spec.alpha + report.cvar + qf.c
 
 
@@ -140,7 +138,7 @@ def worst_case_cvar(qf: QuadraticForm, dist: EmpiricalDistribution,
     Raises
     ------
     RuntimeError
-        If no finite bracket is found after ``_MAX_DOUBLINGS`` doublings.
+        If no bracket is found or the two dual forms disagree.
     ValueError
         If the radius is zero (the ambiguity set degenerates; use the
         nominal CVaR directly).
@@ -152,31 +150,21 @@ def worst_case_cvar(qf: QuadraticForm, dist: EmpiricalDistribution,
 
     dom = gamma_domain(qf)
     lo = dom.search_start()
-    f_lo = dual_objective(lo, qf, dist, spec)
-    if math.isinf(f_lo):
-        # pathological conditioning right at the margin; nudge upward
-        lo = lo + max(1.0, abs(dom.lambda_max)) * 1e-6
-        f_lo = dual_objective(lo, qf, dist, spec)
-        if math.isinf(f_lo):
-            raise RuntimeError(f"dual objective infinite at search start gamma={lo}")
+    f_prev = dual_objective(lo, qf, dist, spec)
 
     # Doubling expansion: stop once the objective increases, which brackets
     # the minimizer of a convex function.
-    step = max(1.0, abs(dom.lambda_max))
-    hi = lo + step
-    f_prev = f_lo
-    hi_prev = lo
+    hi = lo + max(1.0, abs(dom.lambda_max))
     for _ in range(_MAX_DOUBLINGS):
         f_hi = dual_objective(hi, qf, dist, spec)
         if f_hi > f_prev:
             break
         f_prev = f_hi
-        hi_prev = hi
         hi = lo + 2.0 * (hi - lo)
     else:
         raise RuntimeError(
             f"no bracket after {_MAX_DOUBLINGS} doublings: last gamma={hi}, "
-            f"objective={f_prev} (bracket state: lo={lo}, hi_prev={hi_prev})"
+            f"objective={f_prev} (search start {lo})"
         )
 
     a, b = lo, hi

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .conic import SdpSolution, SolverSettings, solve_sdp
-from .dual import worst_case_cvar
+from .dual import DualCertificate, worst_case_cvar
 from .model import (
     AffineEstimator,
     EmpiricalDistribution,
@@ -45,9 +45,10 @@ class FitError(RuntimeError):
     """Raised when a fit cannot be certified.
 
     ``status`` names the failure: the solver status when the conic solve
-    does not reach optimality, or ``cross_check`` when an optimal solve
-    disagrees with its cross-check (the independent dual path, or at
-    radius zero the empirical CVaR) by more than :data:`CROSS_CHECK_TOL`.
+    does not reach optimality, ``validation`` when its point fails the
+    checks of ``extract_estimator``, or ``cross_check`` when the dual path
+    fails or disagrees with the conic value (at radius zero, the empirical
+    CVaR does) by more than :data:`CROSS_CHECK_TOL`.
     """
 
     def __init__(self, message: str, solution: SdpSolution | None = None,
@@ -70,6 +71,7 @@ class FitResult:
     gamma/tau are NaN where the method has no such variable.
     boundary_gamma flags fits whose optimal gamma sits against the spectral
     lower boundary, where the infimum is approached rather than attained.
+    certificate is the dual result checked against (None at radius 0).
     """
 
     estimator: AffineEstimator
@@ -81,6 +83,7 @@ class FitResult:
     boundary_gamma: bool = False
     solve_time: float = 0.0
     iterations: int = 0
+    certificate: DualCertificate | None = None
 
 
 def default_solver_settings(profile: str = "strict") -> SolverSettings:
@@ -98,10 +101,9 @@ def fit_dr_cvar(dist: EmpiricalDistribution, spec: RiskSpec,
 
     Builds and solves the conic reformulation, then evaluates the
     independent dual path at the fitted estimator and records the gap.
-    Raises :class:`FitError` when the solver does not certify optimality,
-    or with status ``cross_check`` when the gap exceeds
-    ``CROSS_CHECK_TOL * (1 + |value|)``.  At radius zero this is
-    :func:`fit_nominal_cvar`, or :func:`fit_nominal_mse` at alpha = 1.
+    Every failure raises :class:`FitError`, whose status names it.  At
+    radius zero this is :func:`fit_nominal_cvar`, or
+    :func:`fit_nominal_mse` at alpha = 1.
     """
     if spec.radius == 0.0 and spec.alpha == 1.0:
         return fit_nominal_mse(dist)
@@ -123,19 +125,27 @@ def _certified_fit(dist: EmpiricalDistribution, spec: RiskSpec,
             f"dual {sol.dual_infeasibility:.3e} after {sol.iterations} iterations)",
             solution=sol,
         )
-    est, gamma, tau, _ = extract_estimator(problem, sol)
+    try:
+        est, gamma, tau, _ = extract_estimator(problem, sol)
+    except RuntimeError as exc:
+        raise FitError(f"{method} fit failed: {exc}", solution=sol,
+                       status="validation") from exc
     value = sol.objective_value
     elapsed = time.perf_counter() - t0
 
-    boundary = False
     if spec.radius > 0.0:
-        cert = worst_case_cvar(affine_to_quadratic(est), dist, spec)
+        qf = affine_to_quadratic(est)
+        try:
+            cert = worst_case_cvar(qf, dist, spec)
+        except RuntimeError as exc:
+            raise FitError(f"{method} fit failed the cross-check: {exc}",
+                           solution=sol, status="cross_check") from exc
         check, check_name = cert.value, "dual value"
-        smax = np.linalg.svd(est.error_matrix(), compute_uv=False)[0]
-        smax_sq = float(smax**2)
+        smax_sq = float(qf.eigenvalues[-1])  # sigma_max(F)^2 = lambda_max(F'F)
         boundary = (cert.at_boundary
                     or gamma - smax_sq <= 1e-6 * (1.0 + smax_sq))
     else:
+        cert, boundary = None, False
         check = cvar_discrete(loss_batch(est, dist), spec.alpha).cvar
         check_name = "empirical CVaR"
     gap = abs(value - check)
@@ -149,7 +159,7 @@ def _certified_fit(dist: EmpiricalDistribution, spec: RiskSpec,
     return FitResult(
         estimator=est, optimal_value=float(value), gamma=gamma, tau=tau,
         method=method, cross_check_gap=float(gap), boundary_gamma=boundary,
-        solve_time=elapsed, iterations=sol.iterations,
+        solve_time=elapsed, iterations=sol.iterations, certificate=cert,
     )
 
 

@@ -12,7 +12,7 @@ operations are pure functions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -122,14 +122,18 @@ class AffineEstimator:
 class QuadraticForm:
     """Symmetric quadratic z -> z'Qz + 2 q'z + c.
 
-    Q is symmetrized on construction to absorb rounding.  The constant c is
-    carried separately: risk functionals are evaluated on the pure quadratic
-    part and c is added afterwards (CVaR is translation equivariant).
+    Q is symmetrized on construction to absorb rounding, and its spectrum is
+    stored once for the dual path: Q = V diag(eigenvalues) V' with ascending
+    eigenvalues and V = eigenvectors.  The constant c is carried separately:
+    risk functionals are evaluated on the pure quadratic part and c is added
+    afterwards (CVaR is translation equivariant).
     """
 
     Q: np.ndarray
     q: np.ndarray
     c: float = 0.0
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Q = _as_finite_array(self.Q, "Q", 2)
@@ -141,12 +145,15 @@ class QuadraticForm:
         if not np.isfinite(self.c):
             raise ValueError("c must be finite")
         Q = 0.5 * (Q + Q.T)
-        Q.flags.writeable = False
+        lam, vecs = np.linalg.eigh(Q)
         q = q.copy()
-        q.flags.writeable = False
+        for arr in (Q, q, lam, vecs):
+            arr.flags.writeable = False
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "eigenvalues", lam)
+        object.__setattr__(self, "eigenvectors", vecs)
 
     @property
     def dim(self) -> int:

@@ -9,6 +9,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+import drcvar.dual
 import drcvar.estimate
 from drcvar.cli import EXIT_DATA, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, dispatch
 from drcvar.conic import SolverSettings
@@ -126,13 +127,24 @@ class TestCheckDual:
         assert doc["gap"] <= doc["tol"]
         assert doc["boundary_gamma"] is True
 
-    def test_moderate_instance(self, capsys, synth_csv):
+    def test_moderate_instance(self, capsys, synth_csv, monkeypatch):
+        # the fit's own certificate is reported: the dual path runs once
+        calls = []
+        certify = drcvar.dual.worst_case_cvar
+
+        def counted(*args):
+            calls.append(args)
+            return certify(*args)
+
+        monkeypatch.setattr(drcvar.dual, "worst_case_cvar", counted)
+        monkeypatch.setattr(drcvar.estimate, "worst_case_cvar", counted)
         code, doc = run_cli(capsys, [
             "check-dual", "--data", str(synth_csv), "--alpha", "0.5",
             "--radius", "0.1", "--split-date", "2013-05-08",
         ])
         assert code == EXIT_OK
         assert doc["gap"] <= doc["tol"]
+        assert len(calls) == 1
 
 
 class TestSweep:
@@ -201,6 +213,52 @@ class TestErrors:
         assert code == doc["exit_code"] == EXIT_SOLVER
         assert doc["status"] == "max_iter"
 
+    @pytest.mark.parametrize("target,message,status", [
+        ("extract_estimator", "solution validation failed: min s = -1",
+         "validation"),
+        ("worst_case_cvar", "no bracket after 200 doublings", "cross_check"),
+    ], ids=["validation", "cross_check"])
+    @pytest.mark.parametrize("command", ["fit", "check-dual"])
+    def test_internal_failure_is_solver_error(self, capsys, synth_csv,
+                                              monkeypatch, command, target,
+                                              message, status):
+        def fail(*args):
+            raise RuntimeError(message)
+
+        monkeypatch.setenv("DRCVAR_TOL_PROFILE", "fast")
+        monkeypatch.setattr(drcvar.estimate, target, fail)
+        code, doc = run_cli(capsys, [command, "--data", str(synth_csv),
+                                     "--alpha", "0.5", "--radius", "0.1"])
+        assert code == doc["exit_code"] == EXIT_SOLVER
+        assert doc["status"] == status
+        assert message in doc["error"]
+
+    @pytest.mark.parametrize("target,radius_of,status", [
+        ("extract_estimator", lambda problem, sol: problem.meta["radius"],
+         "validation"),
+        ("worst_case_cvar", lambda qf, dist, spec: spec.radius,
+         "cross_check"),
+    ], ids=["validation", "cross_check"])
+    def test_internal_failure_keeps_other_sweep_rows(self, capsys, synth_csv,
+                                                     monkeypatch, target,
+                                                     radius_of, status):
+        real = getattr(drcvar.estimate, target)
+
+        def fail_at_one(*args):
+            if radius_of(*args) == 1.0:
+                raise RuntimeError("injected failure")
+            return real(*args)
+
+        monkeypatch.setenv("DRCVAR_TOL_PROFILE", "fast")
+        monkeypatch.setattr(drcvar.estimate, target, fail_at_one)
+        code, doc = run_cli(capsys, [
+            "sweep", "--data", str(synth_csv), "--alpha", "0.5",
+            "--split-date", "2013-05-08", "--radii", "0.3,1",
+        ])
+        assert code == EXIT_OK
+        assert [(r["radius"], r["status"]) for r in doc["rows"]] == [
+            (0.3, "optimal"), (0.3, "optimal"), (1.0, status), (1.0, status)]
+
     def test_bad_radii_flag(self, capsys, synth_csv):
         code = dispatch(["sweep", "--data", str(synth_csv),
                          "--split-date", "2013-05-08", "--radii", "-1.0"])
@@ -248,6 +306,14 @@ class TestErrors:
         pytest.param(["sweep", "--data", "{data}", "--split-date",
                       "2013-05-08", "--per-decade", "inf"], None,
                      id="sweep-per-decade-inf"),
+        *[pytest.param(["sweep", "--data", "{data}", "--split-date",
+                        "2013-05-08", "--per-decade", per], None,
+                       id=f"sweep-per-decade-{per}")
+          for per in ("1e300", "1e6")],
+        pytest.param(["sweep", "--data", "{data}", "--split-date",
+                      "2013-05-08", "--radii-log-from=-1e308",
+                      "--radii-log-to", "1e308"], None,
+                     id="sweep-log-span-overflow"),
     ])
     def test_out_of_range_value_is_usage_error(self, capsys, synth_csv,
                                                tmp_path, monkeypatch, argv,

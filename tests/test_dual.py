@@ -12,8 +12,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from drcvar.dual import (
+    _transformed_losses,
     dual_objective,
     gamma_domain,
     worst_case_cvar,
@@ -82,6 +84,46 @@ class TestGammaDomain:
         dom = gamma_domain(qf)
         assert dom.lambda_max == pytest.approx(1.0)
         assert dom.lower_open
+
+
+def dense_transformed_losses(gamma, qf, atoms):
+    """(gamma z + q)' (gamma I - Q)^{-1} (gamma z + q) - gamma ||z||^2 by a
+    dense solve, with the size of the two terms it subtracts."""
+    w = gamma * atoms + qf.q
+    quad = np.einsum("ij,ij->i", w,
+                     np.linalg.solve(gamma * np.eye(qf.dim) - qf.Q, w.T).T)
+    shift = gamma * np.einsum("ij,ij->i", atoms, atoms)
+    return quad - shift, np.abs(quad) + shift
+
+
+class TestTransformedLosses:
+    @pytest.mark.parametrize("kind", ["estimator", "indefinite", "negative"])
+    def test_matches_dense_solve(self, kind):
+        rng = np.random.default_rng(SEED + 50)
+        for _ in range(6):
+            n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            d = n + m
+            base = rng.standard_normal((d, d))
+            if kind == "estimator":
+                qf = affine_to_quadratic(AffineEstimator(
+                    A=rng.standard_normal((n, m)), b=rng.standard_normal(n)))
+            elif kind == "indefinite":
+                rot = np.linalg.qr(base)[0]
+                lam = np.linspace(-1.5, 1.0, d)
+                qf = QuadraticForm(Q=rot @ np.diag(lam) @ rot.T,
+                                   q=rng.standard_normal(d))
+            else:
+                qf = QuadraticForm(Q=-base @ base.T - 0.1 * np.eye(d),
+                                   q=rng.standard_normal(d))
+            dom = gamma_domain(qf)
+            atoms = rng.standard_normal((7, d))
+            gammas = [dom.search_start(), max(dom.lambda_max, 0.0) + 1.0, 1e8]
+            if kind == "negative":
+                assert dom.lambda_max < 0.0 and gammas[0] == 0.0
+            for g in gammas:
+                ref, scale = dense_transformed_losses(g, qf, atoms)
+                got = _transformed_losses(g, qf, atoms)
+                assert np.all(np.abs(got - ref) <= 1e-8 * (1.0 + scale))
 
 
 class TestPhi:
@@ -288,6 +330,27 @@ class TestWorstCaseCvar:
             cert = worst_case_cvar(qf, dist, spec)
             brute = brute_force_dual_value(qf, dist, spec)
             assert cert.value <= brute + 1e-7 * (1.0 + abs(brute))
+
+    def test_no_factorization_once_the_form_exists(self, monkeypatch):
+        # the form carries its spectrum: a certificate factors nothing
+        rng = np.random.default_rng(SEED + 51)
+        est = AffineEstimator(A=rng.standard_normal((2, 3)),
+                              b=rng.standard_normal(2))
+        qf = affine_to_quadratic(est)
+        dist = EmpiricalDistribution(atoms=rng.standard_normal((9, 5)),
+                                     n=2, m=3)
+        spec = RiskSpec(alpha=0.3, radius=0.2)
+        expected = worst_case_cvar(qf, dist, spec)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("factorization inside a certificate")
+
+        for module in (np.linalg, sla):
+            for name in ("cholesky", "eigh", "eigvalsh", "eig", "eigvals",
+                         "svd"):
+                monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(sla, "cho_factor", forbidden)
+        assert worst_case_cvar(qf, dist, spec) == expected
 
     def test_zero_radius_rejected(self):
         qf = QuadraticForm(Q=[[0.0]], q=[1.0])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from drcvar.data import SpikyConfig, split_and_normalize, synth_spiky
 from drcvar.dual import worst_case_cvar, worst_case_mse_closed
 from drcvar.estimate import (
     CROSS_CHECK_TOL,
@@ -47,6 +48,20 @@ class TestDrCvar:
             assert fit.cross_check_gap <= CROSS_CHECK_TOL * (
                 1.0 + abs(fit.optimal_value))
             assert fit.method == "dr_cvar"
+            assert fit.certificate == worst_case_cvar(
+                affine_to_quadratic(fit.estimator), dist, spec)
+            assert fit.cross_check_gap == abs(fit.optimal_value
+                                              - fit.certificate.value)
+
+    def test_tiny_radius_day_ahead_alpha_one(self):
+        # gamma* grows like 1/r here; a dual path that subtracts
+        # gamma ||z||^2 from a term of the same size loses the value
+        ds = synth_spiky(SpikyConfig(days=7), seed=6)
+        train, _, _ = split_and_normalize(ds, ds.dates[6])
+        fit = fit_dr_cvar(train, RiskSpec(alpha=1.0, radius=1e-8))
+        assert train.size == 6
+        assert fit.cross_check_gap <= CROSS_CHECK_TOL * (
+            1.0 + abs(fit.optimal_value))
 
     def test_single_atom_origin_boundary(self):
         dist = EmpiricalDistribution(atoms=np.zeros((1, 2)), n=1, m=1)
@@ -98,6 +113,7 @@ class TestDrCvar:
         assert fit.method == "nominal_mse"
         fit2 = fit_dr_cvar(dist, RiskSpec(alpha=0.5, radius=0.0))
         assert fit2.method == "nominal_cvar"
+        assert fit.certificate is None and fit2.certificate is None
 
 
 class TestDrMse:

@@ -49,6 +49,15 @@ class TestTypes:
         assert np.allclose(qf.Q, qf.Q.T)
         assert qf.Q[0, 1] == 1.0
 
+    def test_quadratic_stores_its_spectrum(self):
+        qf = QuadraticForm(Q=[[1.0, 2.0], [0.0, 3.0]], q=[0.0, 0.0])
+        lam, vecs = qf.eigenvalues, qf.eigenvectors
+        assert np.all(np.diff(lam) >= 0.0)
+        assert np.allclose(vecs @ np.diag(lam) @ vecs.T, qf.Q)
+        assert np.allclose(vecs.T @ vecs, np.eye(2))
+        with pytest.raises(ValueError):
+            lam[0] = 0.0
+
     def test_risk_spec_validation(self):
         RiskSpec(alpha=1.0, radius=0.0)
         with pytest.raises(ValueError):
@@ -104,7 +113,7 @@ class TestAffineToQuadratic:
             est = AffineEstimator(A=rng.standard_normal((n, m)),
                                   b=rng.standard_normal(n))
             qf = affine_to_quadratic(est)
-            eigs = np.linalg.eigvalsh(qf.Q)
+            eigs = qf.eigenvalues
             smax = np.linalg.svd(est.A, compute_uv=False)[0] if min(n, m) else 0.0
             assert eigs[0] >= -1e-12
             assert eigs[-1] == pytest.approx(1.0 + smax**2, rel=1e-10)
