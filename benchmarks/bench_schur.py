@@ -38,7 +38,7 @@ def main():
         dist = EmpiricalDistribution(
             atoms=rng.standard_normal((big_n, n + m)), n=n, m=m)
         problem = build_drcvar_sdp(dist, RiskSpec(alpha=0.1, radius=0.01))
-        groups = conic._build_groups(problem)
+        groups = [conic._Group(st) for st in problem.stacks]
         u_w = []
         for g in groups:
             base = rng.standard_normal((g.count, g.size, g.size))

@@ -18,11 +18,7 @@ from .data import (
     synth_spiky,
     write_dataset,
 )
-from .dual import (
-    DualCertificate,
-    worst_case_cvar,
-    worst_case_mse_closed,
-)
+from .dual import DualCertificate, worst_case_cvar
 from .estimate import (
     FitError,
     FitResult,
@@ -77,6 +73,5 @@ __all__ = [
     "split_and_normalize",
     "synth_spiky",
     "worst_case_cvar",
-    "worst_case_mse_closed",
     "write_dataset",
 ]

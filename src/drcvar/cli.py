@@ -2,9 +2,10 @@
 
 Every run prints one machine-readable JSON document to stdout (and writes it
 to ``--out`` when given); the documents conform to the schemas shipped under
-``drcvar/schemas``.  Exit codes: 0 success, 1 usage error, 2 data error,
-3 solver failure.  All randomness flows from explicit ``--seed`` flags; the
-only wall-clock-dependent outputs are the solve-time fields.
+``drcvar/schemas``.  Exit codes: 0 success, 1 usage error, 2 data error
+(bad input, or a file that cannot be read or written), 3 solver failure.
+All randomness flows from explicit ``--seed`` flags; the only
+wall-clock-dependent outputs are the solve-time fields.
 
 The default solver tolerance profile is 'strict'; set DRCVAR_TOL_PROFILE=fast
 to trade accuracy for speed across all subcommands.
@@ -161,8 +162,9 @@ def _cmd_fit(args) -> int:
 def _read_fit_result(path):
     """The estimator and scaler of a fit_result document at ``path``.
 
-    A document of another kind, or one without the estimator or the
-    normalization, is a DataError.
+    A document of another kind, one without the estimator or the
+    normalization, or one whose estimator is not 24x24 or whose
+    normalization vectors are not of length 48, is a DataError.
     """
     with open(path) as fh:
         fit_doc = json.load(fh)
@@ -180,6 +182,11 @@ def _read_fit_result(path):
         raise DataError(f"{path}: fit_result lacks {exc}") from None
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed fit_result: {exc}") from None
+    if est.A.shape != (24, 24):
+        raise DataError(f"{path}: estimator is {est.n}x{est.m}, expected "
+                        "24x24")
+    if scaler.minimum.shape != (48,) or scaler.maximum.shape != (48,):
+        raise DataError(f"{path}: normalization vectors must have length 48")
     return est, scaler
 
 
@@ -422,7 +429,7 @@ def dispatch(argv) -> int:
     except _UsageError as exc:
         _emit({"kind": "error", "error": str(exc), "exit_code": EXIT_USAGE})
         return EXIT_USAGE
-    except (DataError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (DataError, OSError, json.JSONDecodeError) as exc:
         _emit({"kind": "error", "error": str(exc), "exit_code": EXIT_DATA})
         return EXIT_DATA
     except FitError as exc:

@@ -13,14 +13,13 @@ lengths come from one batched ``eigvalsh`` per block stack with both sides
 stacked.  A cone block whose Cholesky factorization fails by rounding has
 its spectrum floored (:func:`_cholesky_floored`).
 
-Dense linear algebra throughout; blocks of equal size that declare the
-same matrix-variable slot (:class:`drcvar.sdp.MatrixSlot`) are processed
-as one stack, so the per-block factorizations hit batched LAPACK calls
-instead of Python loops, and the normal matrix is assembled by one
-:func:`drcvar.kernels.schur_accumulate` call per stack, with the stack's
-pair index arrays built once per solve.  The normal matrix H, the
-Fortran-order buffer of its equilibrated Cholesky factor and the
-equilibration scale are allocated once per solve and reused every
+Dense linear algebra throughout, on the problem's block stacks
+(:class:`drcvar.sdp.LmiStack`) as given: the per-block factorizations hit
+batched LAPACK calls instead of Python loops, and the normal matrix is
+assembled by one :func:`drcvar.kernels.schur_accumulate` call per stack,
+with the stack's pair index arrays built once per solve.  The normal
+matrix H, the Fortran-order buffer of its equilibrated Cholesky factor and
+the equilibration scale are allocated once per solve and reused every
 iteration, so no iteration makes a K x K temporary: H is zeroed and
 assembled in place, checked once for finite entries, and its equilibrated
 lower triangle is written into the buffer (with a ridge on the diagonal
@@ -86,7 +85,11 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class SdpSolution:
-    """Solver output: point, certified objective, and residual summary."""
+    """Solver output: point, certified objective, and residual summary.
+
+    ``slack_blocks`` and ``dual_blocks`` hold S and Z as one (count, s, s)
+    array per stack of the problem.
+    """
 
     status: str
     x: np.ndarray
@@ -100,70 +103,41 @@ class SdpSolution:
 
 
 class _Group:
-    """All blocks of one size and slot, stacked for batched linear algebra.
+    """One block stack of the problem, with the index arrays of its entries.
 
-    Sparse coefficient entries of the member blocks are concatenated with
-    their flat positions offset per member, so evaluating the affine map or
-    its adjoint over the whole group is one scatter or gather.  The Schur
-    assembly reads the members' entries outside the slot, ``others`` as
-    (member, var, p, q, v), the index arrays of their pairs, ``pairs``,
-    and, when the members declare a slot, its stacked C matrices ``cols``.
+    ``flat`` holds each entry's position in the (count, s, s) stack, so
+    evaluating the affine map or its adjoint over the stack is one scatter
+    or gather.  The Schur assembly reads the entries outside the slot,
+    ``others`` as (member, var, p, q, v), their pair index arrays
+    ``pairs``, and the stack's ``slot``.
     """
 
-    __slots__ = ("size", "idxs", "count", "m0", "var", "flat", "v",
-                 "slot", "cols", "others", "pairs")
+    __slots__ = ("size", "count", "m0", "var", "flat", "v", "slot",
+                 "others", "pairs")
 
-    def __init__(self, size, idxs, blocks):
-        self.size = size
-        self.idxs = idxs
-        self.count = len(idxs)
-        self.m0 = np.stack([blocks[j].dense_constant() for j in idxs])
-        self.slot = blocks[idxs[0]].slot
-        var_parts, flat_parts, v_parts, others = [], [], [], []
-        for local, j in enumerate(idxs):
-            var, p, q, v = blocks[j].expanded()
-            var_parts.append(var.astype(np.int64))
-            flat_parts.append(p.astype(np.int64) * size + q.astype(np.int64)
-                              + local * size * size)
-            v_parts.append(v)
-            keep = slice(None)
-            if self.slot is not None:
-                keep = ((var < self.slot.offset)
-                        | (var >= self.slot.offset + self.slot.num_vars))
-            others.append((np.full(var[keep].shape[0], local), var[keep],
-                           p[keep], q[keep], v[keep]))
-        self.var = np.concatenate(var_parts)
-        self.flat = np.concatenate(flat_parts)
-        self.v = np.concatenate(v_parts)
-        self.others = tuple(np.concatenate(parts) for parts in zip(*others))
-        self.pairs = pair_index(*self.others, self.count, size)
-        self.cols = None
-        if self.slot is not None:
-            self.cols = np.stack([blocks[j].slot.cols for j in idxs])
+    def __init__(self, stack):
+        self.size = stack.size
+        self.count = stack.count
+        self.m0 = stack.m0
+        self.slot = stack.slot
+        # the slot's entries come first: every slot variable precedes every
+        # other, so each sum over a position or a variable keeps its order
+        member, self.var, p, q, self.v = stack.entries
+        self.flat = (member * self.size + p) * self.size + q
+        self.others = (stack.member, stack.var, stack.p, stack.q, stack.v)
+        self.pairs = pair_index(*self.others, self.count, self.size)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """(count, s, s) stack of sum_k x_k Mk over member blocks."""
+        """(count, s, s) stack of sum_k x_k Mk over the members."""
         w = self.v * x[self.var]
         out = np.bincount(self.flat, weights=w,
                           minlength=self.count * self.size * self.size)
         return out.reshape(self.count, self.size, self.size)
 
     def inner_all(self, stack: np.ndarray, k: int) -> np.ndarray:
-        """sum over member blocks of <Mk, stack_j> for every variable."""
+        """sum over the members of <Mk, stack_j> for every variable."""
         w = stack.ravel()[self.flat] * self.v
         return np.bincount(self.var, weights=w, minlength=k)
-
-
-def _build_groups(problem: SdpProblem) -> list[_Group]:
-    by_key: dict[tuple, list[int]] = {}
-    for j, blk in enumerate(problem.blocks):
-        # a stack shares the slot's offset, rows and width; C may differ
-        slot = blk.slot
-        slot_key = None if slot is None else (
-            slot.offset, tuple(slot.rows.tolist()), slot.cols.shape[1])
-        by_key.setdefault((blk.size, slot_key), []).append(j)
-    ordered = sorted(by_key.items(), key=lambda item: item[0][0])
-    return [_Group(key[0], idxs, problem.blocks) for key, idxs in ordered]
 
 
 def _normal_matrix(groups, u_w, h_mat):
@@ -176,7 +150,8 @@ def _normal_matrix(groups, u_w, h_mat):
     """
     h_mat.fill(0.0)
     for g, u in zip(groups, u_w):
-        slot = () if g.slot is None else (g.slot.rows, g.cols, g.slot.offset)
+        slot = () if g.slot is None else (g.slot.rows, g.slot.cols,
+                                          g.slot.offset)
         schur_accumulate(h_mat, u, *g.others, g.pairs, *slot)
 
 
@@ -232,22 +207,22 @@ def _cholesky_floored(stack):
 def certify(problem: SdpProblem, x: np.ndarray, slack_blocks, dual_blocks):
     """Recompute gap and scaled residuals for a candidate primal/dual pair.
 
-    Used both by the solver post-solve and by tests that verify the reported
-    numbers independently.
+    ``slack_blocks`` and ``dual_blocks`` hold one (count, s, s) array per
+    stack of the problem.  Used both by the solver post-solve and by tests
+    that verify the reported numbers independently.
     """
-    norm_m0 = math.sqrt(sum(float(np.sum(b.dense_constant() ** 2))
-                            for b in problem.blocks))
+    norm_m0 = math.sqrt(sum(float(np.sum(st.m0 ** 2))
+                            for st in problem.stacks))
     norm_c = float(np.linalg.norm(problem.objective))
     gap = 0.0
     pres = 0.0
     atz = np.zeros(problem.num_vars)
-    for blk, s_mat, z_mat in zip(problem.blocks, slack_blocks, dual_blocks):
-        s_of_x = blk.evaluate(x)
-        pres += float(np.sum((s_mat - s_of_x) ** 2))
+    for st, s_mat, z_mat in zip(problem.stacks, slack_blocks, dual_blocks):
+        pres += float(np.sum((s_mat - st.evaluate(x)) ** 2))
         gap += float(np.sum(s_mat * z_mat))
-        var, p, q, v = blk.expanded()
-        w = z_mat[p, q] * v
-        atz += np.bincount(var, weights=w, minlength=problem.num_vars)
+        member, var, p, q, v = st.entries
+        atz += np.bincount(var, weights=z_mat[member, p, q] * v,
+                           minlength=problem.num_vars)
     dres = float(np.linalg.norm(problem.objective - atz))
     return gap, math.sqrt(pres) / (1.0 + norm_m0), dres / (1.0 + norm_c)
 
@@ -263,7 +238,7 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
 
     k_total = problem.num_vars
     c = np.asarray(problem.objective, dtype=float)
-    groups = _build_groups(problem)
+    groups = [_Group(st) for st in problem.stacks]
     dim = sum(g.size * g.count for g in groups)
 
     norm_m0 = math.sqrt(sum(float(np.sum(g.m0**2)) for g in groups))
@@ -297,19 +272,12 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
         xs = x if xs is None else xs
         ss = s_st if ss is None else ss
         zs = z_st if zs is None else zs
-        nb = sum(g.count for g in groups)
-        slacks: list = [None] * nb
-        duals: list = [None] * nb
-        for gi_, g in enumerate(groups):
-            for local, j in enumerate(g.idxs):
-                slacks[j] = ss[gi_][local]
-                duals[j] = zs[gi_][local]
-        gap, pinf, dinf = certify(problem, xs, slacks, duals)
+        gap, pinf, dinf = certify(problem, xs, ss, zs)
         return SdpSolution(
             status=status, x=xs, objective_value=float(c @ xs),
             duality_gap=gap, primal_infeasibility=pinf,
             dual_infeasibility=dinf, iterations=it,
-            slack_blocks=tuple(slacks), dual_blocks=tuple(duals),
+            slack_blocks=tuple(ss), dual_blocks=tuple(zs),
         )
 
     def fail(status, it):

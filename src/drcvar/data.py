@@ -186,9 +186,11 @@ def load_dataset(path) -> Dataset:
             if len(row) != 4:
                 raise DataError(f"{where}: expected 4 fields, got {len(row)}")
             day = _parse_date(row[0], where)
-            hour = int(_parse_float(row[1], where))
-            if not (0 <= hour < HOURS):
-                raise DataError(f"{where}: hour {hour} out of range")
+            hour = _parse_float(row[1], where)
+            if not (hour.is_integer() and 0 <= hour < HOURS):
+                raise DataError(f"{where}: hour '{row[1]}' is not an integer "
+                                f"in 0..{HOURS - 1}")
+            hour = int(hour)
             slot = per_day.setdefault(day, {})
             if hour in slot:
                 raise DataError(f"{where}: duplicate hour {hour} for {day}")

@@ -2,10 +2,10 @@
 
 The interior-point solver spends most of its time forming the normal matrix
 H[j, k] = sum over blocks of <M_j, U M_k U>, U = W^-1 the scaling matrix
-of each block, from the constraint matrices M.  The solver stacks the
-blocks of one size that declare the same matrix-variable slot
-(:class:`drcvar.sdp.MatrixSlot`), and ``schur_accumulate`` adds one
-stack's whole contribution to H, in both triangles.
+of each block, from the constraint matrices M.  The problem comes as
+stacks of blocks of one size and shape (:class:`drcvar.sdp.LmiStack`),
+and ``schur_accumulate`` adds one stack's whole contribution to H, in both
+triangles.
 
 Contract
 --------
@@ -14,11 +14,11 @@ cols=None, offset=0)`` takes the (count, s, s) stack U of the blocks'
 scaling matrices, the stack's entries outside the slot, their pair index
 arrays ``index`` and the stack's slot (``rows``, ``cols``, ``offset``;
 none when ``rows`` is None).  Entry e puts v_e at (p_e, q_e) of the
-constraint matrix of variable var_e in block member_e; the entries are
-expanded (an off-diagonal nonzero appears once per triangle) and sorted by
-``member``.  The index arrays (:func:`pair_index`) depend only on the
-entries, so the solver builds them once per stack and passes them on every
-call.
+constraint matrix of variable var_e in block member_e; the entries cover
+both triangles (an off-diagonal nonzero appears once per triangle) and are
+sorted by ``member``, as the stack holds them.  The index arrays
+(:func:`pair_index`) depend only on the entries, so the solver builds them
+once per stack and passes them on every call.
 
 Other x other: every ordered pair (a, b) of entries of the same block i adds
 

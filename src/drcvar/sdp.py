@@ -1,15 +1,22 @@
 """Block-LMI problem container and assembly of the CVaR estimation SDP.
 
-A problem is ``minimize c'x`` subject to a list of linear matrix
-inequalities, each an affine symmetric-matrix map
+A problem is ``minimize c'x`` subject to linear matrix inequalities, each an
+affine symmetric-matrix map
 
     S_j(x) = M0_j + sum_k x_k * Mk_j  required PSD.
 
-Matrices are stored sparsely as packed lower-triangular entries (an entry at
-(p, q) with p > q implies its mirror).  The robust CVaR estimation problem
-for an empirical distribution with atoms z_i = (x_i, y_i) builds N per-atom
-blocks of size (1+d+n), a 1x1 nonnegativity block for each epigraph slack
-s_i and, at alpha = 1, one for tau, with decision vector
+The inequalities come in stacks (:class:`LmiStack`): ``count`` blocks of one
+size and one sparsity shape, held as the dense (count, s, s) constants and
+the coefficient entries of all members, each entry (member, var, p, q, v)
+putting v at (p, q) of Mk for k = var in that member.  Entries cover both
+triangles, so an off-diagonal nonzero appears once per triangle.  The solver
+runs on the stacks as given: one batched factorization per stack and
+iteration, and one scatter or gather per stack for the map and its adjoint.
+
+The robust CVaR estimation problem for an empirical distribution with atoms
+z_i = (x_i, y_i) has two stacks: ``nonneg``, the 1x1 nonnegativity blocks of
+the epigraph slacks s_1..s_N and, at alpha = 1, of tau; then ``atom``, the N
+per-atom blocks of size (1+d+n).  The decision vector is
 
     x = [vec(A) column-major, b, gamma, tau, s_1..s_N].
 
@@ -51,13 +58,13 @@ Matrix-variable slot
 --------------------
 Every block that depends on the estimator does so through the one matrix
 variable X = [A b] (n x (m+1)), whose column-major vec is the leading
-n(m+1) entries of x.  Variable X[u, v] enters such a block as
-a_u c_v' + c_v a_u' with a_u = e_{R_u} for a fixed row set R and c_v
-column v of a block-specific matrix C.  A block declares this as its
-:class:`MatrixSlot`; :func:`_make_block` generates the slot's sparse
-coefficient entries from the declaration, and the solver assembles the
-slot's part of the normal matrix from R and C by dense products instead
-of entry pairs (see :mod:`drcvar.kernels`).  The slot of atom block i is
+n(m+1) entries of x.  Variable X[u, v] enters member i of a stack as
+a_u c_v' + c_v a_u' with a_u = e_{R_u} for a row set R shared by the stack
+and c_v column v of the member's own matrix C_i.  A stack declares this as
+its :class:`MatrixSlot`, which generates the slot's coefficient entries
+from R and the (count, s, w) stack of C_i, and the solver assembles the
+slot's part of the normal matrix from R and C by dense products instead of
+entry pairs (see :mod:`drcvar.kernels`).  The slot of the atom stack is
 
     R = 1 + d + (0..n-1),  c_v = e_{1+n+v} - y_iv e_0 (v < m),  c_m = -e_0,
 
@@ -67,6 +74,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,11 +83,11 @@ from .model import AffineEstimator, EmpiricalDistribution, RiskSpec
 
 @dataclass(frozen=True)
 class MatrixSlot:
-    """How a block depends on an n x w matrix variable X.
+    """How every member of a stack depends on an n x w matrix variable X.
 
-    Variable X[u, v] has index ``offset + v*n + u`` and coefficient matrix
-    e_{rows[u]} c_v' + c_v e_{rows[u]}' with c_v = ``cols[:, v]``; ``cols``
-    has one row per row of the block.
+    Variable X[u, v] has index ``offset + v*n + u`` and, in member i, the
+    coefficient matrix e_{rows[u]} c' + c e_{rows[u]}' with c =
+    ``cols[i, :, v]``; ``cols`` is (count, s, w).
     """
 
     offset: int
@@ -88,74 +96,107 @@ class MatrixSlot:
 
     @property
     def num_vars(self) -> int:
-        return self.rows.shape[0] * self.cols.shape[1]
+        return self.rows.shape[0] * self.cols.shape[2]
 
-    def entries(self) -> np.ndarray:
-        """Packed lower-triangular entries (var, p, q, v) of every variable."""
+    def entries(self):
+        """Entries (member, var, p, q, v) of the slot's variables, both
+        triangles: by member, then variable, then the lower-triangle entries
+        by row and column, then their mirrors."""
+        count, _, w = self.cols.shape
         n = self.rows.shape[0]
-        j, v = np.nonzero(self.cols)
-        val = self.cols[j, v]
-        u = np.repeat(np.arange(n), j.shape[0])
-        r = self.rows[u]
-        j, v, val = np.tile(j, n), np.tile(v, n), np.tile(val, n)
-        # a diagonal position collects both halves of a_u c_v' + c_v a_u'
-        val = np.where(r == j, 2.0 * val, val)
-        return np.column_stack([self.offset + v * n + u, np.maximum(r, j),
-                                np.minimum(r, j), val])
+        # the nonzeros c_j of each column, by member, then column, then j;
+        # for X[u, v] the lower entry of c_j is (R_u, j) or (j, R_u), so
+        # ordering by j orders the lower entries by row and column
+        i, col, j = np.nonzero(self.cols.transpose(0, 2, 1))
+        val = self.cols[i, j, col]
+        pair = i * w + col
+        length = np.bincount(pair, minlength=count * w)
+        start = (np.cumsum(length) - length)[pair]
+        length = length[pair]
+        # grid (e, 2u + h): half h of the entry of nonzero e in X[u, v].  A
+        # (member, column) pair with L nonzeros takes 2nL places of the
+        # output, for each u its L lower entries, then their L mirrors
+        place = ((start * (2 * n - 1) + np.arange(pair.shape[0]))[:, None]
+                 + np.arange(2 * n) * length[:, None])
+        order = np.empty(place.size, dtype=np.intp)
+        order[place.ravel()] = np.arange(place.size)
+        r = np.repeat(self.rows, 2)
+        mirror = np.tile([False, True], n)
+        jc = j[:, None]
+        lo, hi = np.minimum(r, jc), np.maximum(r, jc)
+        # a diagonal position collects both halves of a_u c_v' + c_v a_u',
+        # and has no mirror
+        diag = r == jc
+        grid = (np.broadcast_to(i[:, None], place.shape),
+                self.offset + (col * n)[:, None] + np.repeat(np.arange(n), 2),
+                np.where(mirror, lo, hi), np.where(mirror, hi, lo),
+                np.where(diag, 2.0, 1.0) * val[:, None])
+        fields = [g.ravel()[order] for g in grid]
+        keep = ~(diag & mirror).ravel()[order]
+        if not keep.all():
+            fields = [f[keep] for f in fields]
+        return tuple(fields)
 
 
 @dataclass(frozen=True)
-class LmiBlock:
-    """One PSD constraint: affine map stored as packed lower-tri entries.
+class LmiStack:
+    """``count`` PSD constraints of one size s and shape, named ``name_i``.
 
-    ``const_*`` arrays hold the constant matrix, ``coef_*`` the per-variable
-    coefficients (sorted by variable index).  Row >= col for every entry.
-    ``slot``, when set, declares the block's matrix-variable dependence;
-    its variables' entries are among the ``coef_*`` arrays.
+    ``m0`` holds the dense (count, s, s) constants.  ``member``, ``var``,
+    ``p``, ``q``, ``v`` hold the entries of the variables outside ``slot``,
+    both triangles, sorted by member, then variable; the slot's entries
+    come from :meth:`MatrixSlot.entries`.
     """
 
-    size: int
     name: str
-    const_p: np.ndarray
-    const_q: np.ndarray
-    const_v: np.ndarray
-    coef_var: np.ndarray
-    coef_p: np.ndarray
-    coef_q: np.ndarray
-    coef_v: np.ndarray
+    m0: np.ndarray
+    member: np.ndarray
+    var: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    v: np.ndarray
     slot: MatrixSlot | None = None
 
-    def dense_constant(self) -> np.ndarray:
-        m = np.zeros((self.size, self.size))
-        m[self.const_p, self.const_q] = self.const_v
-        off = self.const_p != self.const_q
-        m[self.const_q[off], self.const_p[off]] = self.const_v[off]
-        return m
+    def __post_init__(self):
+        slot = self.slot
+        if slot is None:
+            return
+        if slot.cols.ndim != 3 or slot.cols.shape[:2] != self.m0.shape[:2] \
+                or np.any(slot.rows < 0) or np.any(slot.rows >= self.size):
+            raise ValueError(f"stack {self.name}: slot does not fit "
+                             f"{self.count} blocks of size {self.size}")
+        if np.any((self.var >= slot.offset)
+                  & (self.var < slot.offset + slot.num_vars)):
+            raise ValueError(f"stack {self.name}: entries given for slot "
+                             "variables")
+
+    @property
+    def count(self) -> int:
+        return self.m0.shape[0]
+
+    @property
+    def size(self) -> int:
+        return self.m0.shape[1]
+
+    @cached_property
+    def entries(self):
+        """Every entry (member, var, p, q, v): the slot's, then the others.
+
+        Computed on first use and kept, as the solver, :func:`certify
+        <drcvar.conic.certify>` and :func:`extract_estimator` all read it.
+        """
+        others = (self.member, self.var, self.p, self.q, self.v)
+        if self.slot is None:
+            return others
+        return tuple(np.concatenate(parts)
+                     for parts in zip(self.slot.entries(), others))
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Dense S(x) = M0 + sum_k x_k Mk for this block."""
-        m = self.dense_constant()
-        w = self.coef_v * x[self.coef_var]
-        np.add.at(m, (self.coef_p, self.coef_q), w)
-        off = self.coef_p != self.coef_q
-        np.add.at(m, (self.coef_q[off], self.coef_p[off]), w[off])
-        return m
-
-    def expanded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Both-triangle expansion (var, p, q, v), sorted by var.
-
-        Off-diagonal packed entries appear twice (once per triangle) so that
-        Mk = sum_a v_a e_{p_a} e_{q_a}' holds exactly; this is the layout the
-        Schur kernel and the solver's scatter/gather paths consume.
-        """
-        off = self.coef_p != self.coef_q
-        var = np.concatenate([self.coef_var, self.coef_var[off]])
-        p = np.concatenate([self.coef_p, self.coef_q[off]])
-        q = np.concatenate([self.coef_q, self.coef_p[off]])
-        v = np.concatenate([self.coef_v, self.coef_v[off]])
-        order = np.argsort(var, kind="stable")
-        return (var[order].astype(np.int32), p[order].astype(np.int32),
-                q[order].astype(np.int32), v[order].astype(np.float64))
+        """Dense (count, s, s) stack of S_i(x) = M0_i + sum_k x_k Mk_i."""
+        member, var, p, q, v = self.entries
+        flat = (member * self.size + p) * self.size + q
+        sx = np.bincount(flat, weights=v * x[var], minlength=self.m0.size)
+        return self.m0 + sx.reshape(self.m0.shape)
 
 
 @dataclass(frozen=True)
@@ -164,55 +205,13 @@ class SdpProblem:
 
     num_vars: int
     objective: np.ndarray
-    blocks: tuple[LmiBlock, ...]
+    stacks: tuple[LmiStack, ...]
     var_layout: dict[str, tuple[int, int]]
     meta: dict = field(default_factory=dict)
 
     def layout_slice(self, name: str) -> slice:
         lo, hi = self.var_layout[name]
         return slice(lo, hi)
-
-
-def _coalesce(keys: np.ndarray, vals: np.ndarray):
-    """Sum values sharing a key row; keys returned in sorted order."""
-    if keys.shape[0] == 0:
-        return keys, vals
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    vals = vals[order]
-    new_group = np.any(np.diff(keys, axis=0) != 0, axis=1)
-    starts = np.concatenate([[0], np.flatnonzero(new_group) + 1])
-    summed = np.add.reduceat(vals, starts)
-    return keys[starts], summed
-
-
-def _make_block(size, name, const_entries, coef_entries,
-                slot: MatrixSlot | None = None) -> LmiBlock:
-    """Block from (p, q, value) constant and (var, p, q, value) coefficient
-    entries; the entries of ``slot``'s variables come from the slot alone."""
-    coef = np.array(coef_entries, dtype=float).reshape(-1, 4)
-    if slot is not None:
-        if slot.cols.shape[0] != size or np.any(slot.rows < 0) \
-                or np.any(slot.rows >= size):
-            raise ValueError(f"block {name}: slot does not fit a size-{size} block")
-        if np.any((coef[:, 0] >= slot.offset)
-                  & (coef[:, 0] < slot.offset + slot.num_vars)):
-            raise ValueError(f"block {name}: entries given for slot variables")
-        coef = np.concatenate([coef, slot.entries()])
-    if const_entries:
-        arr = np.array(const_entries, dtype=float)
-        keys, vals = _coalesce(arr[:, :2].astype(np.int64), arr[:, 2])
-        cp, cq, cv = keys[:, 0], keys[:, 1], vals
-    else:
-        cp = cq = np.zeros(0, dtype=np.int64)
-        cv = np.zeros(0)
-    keys, v = _coalesce(coef[:, :3].astype(np.int64), coef[:, 3])
-    var, p, q = keys[:, 0], keys[:, 1], keys[:, 2]
-    if np.any(cp < cq) or np.any(p < q):
-        raise ValueError(f"block {name}: packed entries must have row >= col")
-    return LmiBlock(size=size, name=name,
-                    const_p=cp, const_q=cq, const_v=cv,
-                    coef_var=var, coef_p=p, coef_q=q, coef_v=v, slot=slot)
 
 
 def build_drcvar_sdp(dist: EmpiricalDistribution, spec: RiskSpec) -> SdpProblem:
@@ -246,36 +245,41 @@ def build_drcvar_sdp(dist: EmpiricalDistribution, spec: RiskSpec) -> SdpProblem:
         c[i_gamma] = spec.radius**2 / spec.alpha
     c[i_s0:] = 1.0 / (spec.alpha * big_n)
 
-    blocks = []
-
-    # Per-atom epigraph blocks, size 1 + d + n, in displacement coordinates
-    # (see the module docstring); e_i = x_i - A y_i - b fills column 0.
-    for i in range(big_n):
-        x_i, y_i = atoms[i, :n], atoms[i, n:]
-        const = [(1 + d + u, 1 + d + u, 1.0) for u in range(n)]
-        const += [(1 + d + u, 0, float(x_i[u])) for u in range(n)]
-        coef = [(i_tau, 0, 0, 1.0), (i_s0 + i, 0, 0, 1.0)]
-        cols = np.zeros((1 + d + n, m + 1))
-        cols[0, :m] = -y_i
-        cols[0, m] = -1.0
-        if robust:
-            const += [(1 + d + u, 1 + u, -1.0) for u in range(n)]
-            coef += [(i_gamma, 1 + j, 1 + j, 1.0) for j in range(d)]
-            cols[1 + n + np.arange(m), np.arange(m)] = 1.0
-        slot = MatrixSlot(offset=0, rows=1 + d + np.arange(n), cols=cols)
-        blocks.append(_make_block(1 + d + n, f"atom_{i}", const, coef, slot))
-
-    # Nonnegativity of the epigraph slacks.
-    for i in range(big_n):
-        blocks.append(_make_block(1, f"s_nonneg_{i}", [],
-                                  [(i_s0 + i, 0, 0, 1.0)]))
+    # Nonnegativity of the epigraph slacks, one 1x1 block each.
+    bounded = i_s0 + np.arange(big_n)
     if spec.alpha == 1.0:
         # at alpha = 1 the objective is invariant along tau -> -inf with
         # s_i = raw_i - tau, an unbounded optimal ray that stalls the
         # interior-point iterates in cancellation.  The per-atom transform
         # of the (nonnegative) squared loss is itself nonnegative, so
         # tau >= 0 never cuts the optimum; it bounds the degenerate face.
-        blocks.append(_make_block(1, "tau_nonneg", [], [(i_tau, 0, 0, 1.0)]))
+        bounded = np.append(bounded, i_tau)
+    corner = np.zeros(bounded.shape[0], dtype=np.int64)
+    nonneg = LmiStack("nonneg", np.zeros((bounded.shape[0], 1, 1)),
+                      np.arange(bounded.shape[0]), bounded, corner, corner,
+                      np.ones(bounded.shape[0]))
+
+    # Per-atom epigraph blocks, size 1 + d + n, in displacement coordinates
+    # (see the module docstring); e_i = x_i - A y_i - b fills column 0.
+    size = 1 + d + n
+    rows = 1 + d + np.arange(n)
+    m0 = np.zeros((big_n, size, size))
+    m0[:, rows, rows] = 1.0
+    m0[:, rows, 0] = m0[:, 0, rows] = atoms[:, :n]
+    cols = np.zeros((big_n, size, m + 1))
+    cols[:, 0, :m] = -atoms[:, n:]
+    cols[:, 0, m] = -1.0
+    if robust:
+        m0[:, rows, 1 + np.arange(n)] = m0[:, 1 + np.arange(n), rows] = -1.0
+        cols[:, 1 + n + np.arange(m), np.arange(m)] = 1.0
+    # outside the slot, member i holds gamma I_d, then tau and s_i at (0, 0)
+    var = np.column_stack([
+        np.tile(np.append(np.full(d, i_gamma), i_tau), (big_n, 1)),
+        i_s0 + np.arange(big_n)]).ravel()
+    diag = np.tile(np.concatenate([1 + np.arange(d), [0, 0]]), big_n)
+    atom = LmiStack("atom", m0, np.repeat(np.arange(big_n), d + 2), var,
+                    diag, diag, np.ones(var.shape[0]),
+                    MatrixSlot(offset=0, rows=rows, cols=cols))
 
     layout = {"A": (0, nm), "b": (nm, nm + n)}
     if robust:
@@ -284,7 +288,7 @@ def build_drcvar_sdp(dist: EmpiricalDistribution, spec: RiskSpec) -> SdpProblem:
     layout["s"] = (i_s0, k_total)
     meta = {"kind": "dr_cvar" if robust else "nominal_cvar", "n": n, "m": m,
             "N": big_n, "alpha": spec.alpha, "radius": spec.radius}
-    return SdpProblem(num_vars=k_total, objective=c, blocks=tuple(blocks),
+    return SdpProblem(num_vars=k_total, objective=c, stacks=(nonneg, atom),
                       var_layout=layout, meta=meta)
 
 
@@ -314,11 +318,12 @@ def extract_estimator(problem: SdpProblem, sol) -> tuple[AffineEstimator, float,
         raise RuntimeError(f"solution validation failed: min s = {s.min()} < -1e-9")
     worst = 0.0
     worst_name = ""
-    for blk in problem.blocks:
-        w = float(np.linalg.eigvalsh(blk.evaluate(x))[0])
-        if w < worst:
-            worst = w
-            worst_name = blk.name
+    for st in problem.stacks:
+        w = np.linalg.eigvalsh(st.evaluate(x))[:, 0]
+        i = int(np.argmin(w))
+        if w[i] < worst:
+            worst = float(w[i])
+            worst_name = f"{st.name}_{i}"
     if worst < -1e-7:
         raise RuntimeError(
             f"solution validation failed: block '{worst_name}' has minimum "

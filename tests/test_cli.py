@@ -89,7 +89,7 @@ class TestFitEval:
 
     @pytest.mark.parametrize("drop", [
         "all", "estimator.A", "estimator.b", "normalization.minimum",
-        "normalization.maximum"])
+        "normalization.maximum", "estimator-2x2", "normalization-length-2"])
     def test_eval_rejects_malformed_fit_result(self, capsys, synth_csv,
                                                tmp_path, drop):
         fit_path = tmp_path / "fit.json"
@@ -98,6 +98,12 @@ class TestFitEval:
         fit_doc = json.loads(fit_path.read_text())
         if drop == "all":
             fit_doc = {"kind": "fit_result"}
+        elif drop == "estimator-2x2":
+            fit_doc["estimator"].update(n=2, m=2, A=[[1.0, 0.0], [0.0, 1.0]],
+                                        b=[0.0, 0.0])
+        elif drop == "normalization-length-2":
+            fit_doc["normalization"] = {"minimum": [0.0, 0.0],
+                                        "maximum": [1.0, 1.0]}
         else:
             section, key = drop.split(".")
             del fit_doc[section][key]
@@ -187,12 +193,19 @@ class TestErrors:
         assert code == EXIT_USAGE
         assert doc["exit_code"] == EXIT_USAGE
 
-    def test_missing_file_is_data_error(self, capsys):
-        code = dispatch(["fit", "--data", "/nonexistent/data.csv",
-                         "--method", "nominal_mse"])
-        doc = json.loads(capsys.readouterr().out)
-        assert code == EXIT_DATA
-        assert doc["exit_code"] == EXIT_DATA
+    def test_missing_file_is_data_error(self, capsys, synth_csv, tmp_path):
+        # a path that does not exist, and directories given as --data and
+        # as --estimator
+        for argv in (["fit", "--data", "/nonexistent/data.csv",
+                      "--method", "nominal_mse"],
+                     ["fit", "--data", str(tmp_path), "--method",
+                      "nominal_mse"],
+                     ["eval", "--data", str(synth_csv),
+                      "--estimator", str(tmp_path)]):
+            code = dispatch(argv)
+            doc = json.loads(capsys.readouterr().out)
+            assert code == EXIT_DATA
+            assert doc["exit_code"] == EXIT_DATA
 
     def test_malformed_csv_is_data_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

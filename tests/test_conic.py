@@ -12,24 +12,31 @@ import pytest
 from drcvar import conic
 from drcvar.conic import SdpSolution, SolverSettings, certify, solve_sdp
 from drcvar.model import EmpiricalDistribution, RiskSpec
-from drcvar.sdp import SdpProblem, _make_block, build_drcvar_sdp
+from drcvar.sdp import LmiStack, SdpProblem, build_drcvar_sdp
 
 
 def lmi_problem(c, blocks_spec):
-    """Assemble an SdpProblem from dense (M0, [Mk]) block descriptions."""
+    """Assemble an SdpProblem from dense (M0, [Mk]) block descriptions, read
+    from their lower triangles; the blocks of one size form one stack, the
+    stacks in order of size."""
     k_total = len(c)
-    blocks = []
-    for bi, (m0, mats) in enumerate(blocks_spec):
-        size = m0.shape[0]
-        const = [(p, q, m0[p, q]) for p in range(size) for q in range(p + 1)
-                 if m0[p, q] != 0.0]
-        coef = []
-        for k, mat in enumerate(mats):
-            coef += [(k, p, q, mat[p, q]) for p in range(size)
-                     for q in range(p + 1) if mat[p, q] != 0.0]
-        blocks.append(_make_block(size, f"block_{bi}", const, coef))
+    stacks = []
+    for size in sorted({m0.shape[0] for m0, _ in blocks_spec}):
+        members = [spec for spec in blocks_spec if spec[0].shape[0] == size]
+        entries = []
+        for i, (_, mats) in enumerate(members):
+            for k, mat in enumerate(mats):
+                low = [(p, q) for p in range(size) for q in range(p + 1)
+                       if mat[p, q] != 0.0]
+                entries += [(i, k, p, q, mat[p, q]) for p, q in low]
+                entries += [(i, k, q, p, mat[p, q]) for p, q in low if p != q]
+        arr = np.array(entries, dtype=float).reshape(-1, 5)
+        member, var, p, q = arr[:, :4].T.astype(np.int64)
+        m0 = np.stack([np.tril(m0) + np.tril(m0, -1).T for m0, _ in members])
+        stacks.append(LmiStack(f"size{size}", m0, member, var, p, q,
+                               arr[:, 4]))
     return SdpProblem(num_vars=k_total, objective=np.asarray(c, dtype=float),
-                      blocks=tuple(blocks), var_layout={})
+                      stacks=tuple(stacks), var_layout={})
 
 
 def random_kkt_instance(seed):
@@ -121,8 +128,8 @@ class TestReporting:
     def test_gap_matches_objective_difference(self):
         prob, _ = random_kkt_instance(321)
         sol = solve_sdp(prob)
-        dobj = -sum(np.sum(blk.dense_constant() * z)
-                    for blk, z in zip(prob.blocks, sol.dual_blocks))
+        dobj = -sum(np.sum(st.m0 * z)
+                    for st, z in zip(prob.stacks, sol.dual_blocks))
         assert sol.objective_value - dobj == pytest.approx(sol.duality_gap,
                                                            abs=1e-7)
 
@@ -146,8 +153,8 @@ class TestReporting:
         settings = SolverSettings()
         sol = solve_sdp(prob, settings)
         assert sol.status == "optimal"
-        dobj = -sum(np.sum(blk.dense_constant() * z)
-                    for blk, z in zip(prob.blocks, sol.dual_blocks))
+        dobj = -sum(np.sum(st.m0 * z)
+                    for st, z in zip(prob.stacks, sol.dual_blocks))
         pobj = sol.objective_value
         scale = max(1.0, 0.5 * (abs(pobj) + abs(dobj)))
         assert abs(pobj - dobj) / scale <= settings.tol_gap

@@ -107,6 +107,18 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=r"missing hour.*23"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("hour", ["nan", "inf", "3.5", "24"])
+    def test_long_format_hour_must_be_an_hour(self, tmp_path, hour):
+        ds = tiny_dataset(1)
+        path = tmp_path / "long.csv"
+        with open(path, "w") as fh:
+            fh.write("date,hour,price,load\n")
+            for h in range(24):
+                text = hour if h == 5 else str(h)
+                fh.write(f"{ds.dates[0]},{text},{float(ds.prices[0, h])!r},{float(ds.loads[0, h])!r}\n")
+        with pytest.raises(DataError, match=":7: hour"):
+            load_dataset(path)
+
 
 class TestScaler:
     def test_midpoint_example(self):

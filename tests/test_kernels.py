@@ -102,6 +102,11 @@ def test_slot_block_in_row_blocks_matches_formula():
     assert not h.any()
 
 
+def groups_of(prob):
+    """The solver's groups: one per block stack, in order."""
+    return [conic._Group(st) for st in prob.stacks]
+
+
 def random_scalings(rng, groups):
     """Random well-conditioned PSD W^-1 stack per block group."""
     stacks = []
@@ -123,10 +128,12 @@ def problem(kind, n, m, big_n, seed):
 
 def stacked_dense_reference(prob, groups, u_w):
     ref = np.zeros((prob.num_vars, prob.num_vars))
-    for gi, g in enumerate(groups):
-        for local, j in enumerate(g.idxs):
-            ref += dense_reference(prob.num_vars, u_w[gi][local],
-                                   *prob.blocks[j].expanded())
+    for st, u in zip(prob.stacks, u_w):
+        member, var, p, q, v = st.entries
+        for i in range(st.count):
+            at = member == i
+            ref += dense_reference(prob.num_vars, u[i], var[at], p[at],
+                                   q[at], v[at])
     return ref
 
 
@@ -140,8 +147,10 @@ def normal_matrix(prob, groups, u_w):
 def test_structured_assembly_matches_pairwise(kind):
     prob = problem(kind, n=4, m=3, big_n=5, seed=7)
     if kind == "dr_mse":
-        assert prob.blocks[-1].name == "tau_nonneg"
-    groups = conic._build_groups(prob)
+        nonneg = prob.stacks[0]
+        assert nonneg.count == prob.meta["N"] + 1
+        assert nonneg.var[-1] == prob.layout_slice("tau").start
+    groups = groups_of(prob)
     assert any(g.slot is not None for g in groups)
     u_w = random_scalings(np.random.default_rng(11), groups)
     h = normal_matrix(prob, groups, u_w)
@@ -151,7 +160,7 @@ def test_structured_assembly_matches_pairwise(kind):
 
 def test_structured_assembly_matches_dense_reference():
     prob = problem("dr_cvar", n=2, m=2, big_n=3, seed=3)
-    groups = conic._build_groups(prob)
+    groups = groups_of(prob)
     u_w = random_scalings(np.random.default_rng(5), groups)
     h = normal_matrix(prob, groups, u_w)
     ref = stacked_dense_reference(prob, groups, u_w)
@@ -162,7 +171,7 @@ def test_workspace_carries_nothing_over():
     # n = 3 rows against m + 1 = 5 slot columns, so an assembly that swaps
     # the row and column axes of the slot block cannot pass
     prob = problem("dr_cvar", n=3, m=4, big_n=4, seed=13)
-    groups = conic._build_groups(prob)
+    groups = groups_of(prob)
     rng = np.random.default_rng(17)
     first = random_scalings(rng, groups)
     second = random_scalings(rng, groups)

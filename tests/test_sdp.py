@@ -8,7 +8,7 @@ equivalences, and solution extraction.
 import numpy as np
 import pytest
 
-from drcvar.conic import solve_sdp
+from drcvar.conic import _Group, solve_sdp
 from drcvar.model import (
     AffineEstimator,
     EmpiricalDistribution,
@@ -16,14 +16,18 @@ from drcvar.model import (
     affine_to_quadratic,
 )
 from drcvar.sdp import (
+    LmiStack,
     MatrixSlot,
-    _make_block,
     build_drcvar_sdp,
     extract_estimator,
 )
 from oracles import phi
 
 SEED = 31415
+
+
+def block_sizes(prob):
+    return sorted(st.size for st in prob.stacks for _ in range(st.count))
 
 
 def small_problem(n=1, m=1, big_n=2, alpha=0.5, radius=1.0, seed=SEED):
@@ -56,7 +60,7 @@ class TestCounting:
     def test_small_instance(self):
         _, prob = small_problem(n=1, m=1, big_n=2)
         assert prob.num_vars == 6
-        sizes = sorted(b.size for b in prob.blocks)
+        sizes = block_sizes(prob)
         assert sizes == [1, 1, 4, 4]
         assert prob.var_layout == {
             "A": (0, 1), "b": (1, 2), "gamma": (2, 3), "tau": (3, 4),
@@ -68,7 +72,7 @@ class TestCounting:
         # no gamma variable
         _, prob = small_problem(n=1, m=1, big_n=2, radius=0.0)
         assert prob.num_vars == 5
-        sizes = sorted(b.size for b in prob.blocks)
+        sizes = block_sizes(prob)
         assert sizes == [1, 1, 2, 2]
         assert prob.var_layout == {
             "A": (0, 1), "b": (1, 2), "tau": (2, 3), "s": (3, 5),
@@ -82,15 +86,15 @@ class TestFrozenEntries:
         prob = build_drcvar_sdp(dist, RiskSpec(alpha=0.5, radius=1.0))
         # x = [A, b, gamma, tau, s_0] = [0, 0, 1, 0, 0]
         x = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-        atom_block = prob.blocks[0]
-        assert atom_block.name == "atom_0"
+        atom = prob.stacks[1]
+        assert atom.name == "atom"
         expected = np.array([
             [0.0, 0.0, 0.0, 0.0],
             [0.0, 1.0, 0.0, -1.0],
             [0.0, 0.0, 1.0, 0.0],
             [0.0, -1.0, 0.0, 1.0],
         ])
-        assert np.array_equal(atom_block.evaluate(x), expected)
+        assert np.array_equal(atom.evaluate(x)[0], expected)
 
     def test_atom_block_at_radius_zero(self):
         # z_0 = (x_0, y_0) = (2, 0.5); x = [A, b, tau, s_0] = [0.5, 0.25, 1, 2]
@@ -98,13 +102,13 @@ class TestFrozenEntries:
         dist = EmpiricalDistribution(atoms=np.array([[2.0, 0.5]]), n=1, m=1)
         prob = build_drcvar_sdp(dist, RiskSpec(alpha=0.5, radius=0.0))
         x = np.array([0.5, 0.25, 1.0, 2.0])
-        atom_block = prob.blocks[0]
-        assert atom_block.name == "atom_0"
+        atom = prob.stacks[1]
+        assert atom.name == "atom"
         expected = np.array([
             [3.0, 1.5],
             [1.5, 1.0],
         ])
-        assert np.array_equal(atom_block.evaluate(x), expected)
+        assert np.array_equal(atom.evaluate(x)[0], expected)
 
 
 class TestRoundTrip:
@@ -124,17 +128,19 @@ class TestRoundTrip:
         tau = x[prob.layout_slice("tau")][0]
         s = x[prob.layout_slice("s")]
 
+        atoms = prob.stacks[1].evaluate(x)
         for i in range(big_n):
             direct = dense_atom_block(dist.atoms[i], n, m, a_mat, b_vec,
                                       gamma, tau, s[i])
             t_mat = displacement_congruence(dist.atoms[i], n)
-            built = prob.blocks[i].evaluate(x)
+            built = atoms[i]
             assert np.max(np.abs(built - t_mat @ direct @ t_mat.T)) <= 1e-14
 
     @pytest.mark.parametrize("kind", ["dr_cvar", "nominal_cvar"])
     def test_slot_regenerates_estimator_entries(self, kind):
-        # the [A b] entries written out as in the paper's block forms; each
-        # block's declared slot must reproduce exactly these and no others
+        # the [A b] entries written out as in the paper's block forms; the
+        # atom stack's declared slot must reproduce exactly these in each
+        # member's lower triangle, their mirrors above it, and no others
         rng = np.random.default_rng(SEED + 7)
         n, m, big_n = 3, 2, 4
         dist = EmpiricalDistribution(
@@ -154,29 +160,64 @@ class TestRoundTrip:
                     entries += [(v * n + u, rows(u), col, val)
                                 for col, val in cols(v)]
                     entries.append((v * n + u, rows(u), 0, -dist.y[i, v]))
-            expected[f"atom_{i}"] = entries
+            expected[i] = entries
 
-        for blk in prob.blocks:
-            assert (blk.slot is not None) == (blk.name in expected)
-            if blk.slot is None:
-                continue
-            in_slot = blk.coef_var < nm + n
-            built = np.column_stack([blk.coef_var, blk.coef_p, blk.coef_q,
-                                     blk.coef_v])[in_slot]
-            ref = np.array(sorted(expected[blk.name]))
+        nonneg, atom = prob.stacks
+        assert nonneg.slot is None and atom.slot is not None
+        assert not np.any(atom.var < nm + n)
+        member, var, p, q, v = atom.slot.entries()
+        for i in range(big_n):
+            ref = np.array(sorted(expected[i]))
+            lower = (member == i) & (p >= q)
+            built = np.column_stack([var, p, q, v])[lower]
             assert np.array_equal(built, ref)
-            regenerated = blk.slot.entries()
-            order = np.lexsort(regenerated[:, :3].T[::-1])
-            assert np.array_equal(regenerated[order], ref)
+            upper = (member == i) & (p < q)
+            mirrored = np.column_stack([var, q, p, v])[upper]
+            assert np.array_equal(mirrored, ref[ref[:, 1] != ref[:, 2]])
 
     def test_slot_owns_its_variables(self):
-        slot = MatrixSlot(offset=0, rows=np.array([1]), cols=np.ones((2, 1)))
-        with pytest.raises(ValueError):
-            _make_block(2, "bad", [], [(0, 1, 0, 1.0)], slot)
-        blk = _make_block(2, "ok", [], [(1, 1, 1, 1.0)], slot)
+        def stack(var, p, q, rows=(1,), cols=np.ones((1, 2, 1))):
+            slot = MatrixSlot(offset=0, rows=np.array(rows), cols=cols)
+            one = np.zeros(1, dtype=np.int64)
+            return LmiStack("s", np.zeros((1, 2, 2)), one, one + var,
+                            one + p, one + q, np.ones(1), slot)
+
+        with pytest.raises(ValueError, match="slot variables"):
+            stack(0, 1, 0)
+        # a slot row outside the block, and cols not (count, size, w)
+        for rows, cols in [((2,), np.ones((1, 2, 1))),
+                           ((1,), np.ones((2, 1))),
+                           ((1,), np.ones((2, 2, 1))),
+                           ((1,), np.ones((1, 3, 1)))]:
+            with pytest.raises(ValueError, match="does not fit"):
+                stack(1, 1, 1, rows, cols)
+        st = stack(1, 1, 1)
         # X[0, 0] e_1 c' + c e_1' with c = (1, 1): (1, 0) once, (1, 1) twice
-        assert np.array_equal(blk.evaluate(np.array([1.0, 0.0])),
+        assert np.array_equal(st.evaluate(np.array([1.0, 0.0]))[0],
                               np.array([[0.0, 1.0], [1.0, 2.0]]))
+
+    @pytest.mark.parametrize("kind", ["dr_cvar", "nominal_cvar", "alpha_one"])
+    def test_solver_maps_match_evaluate(self, kind):
+        # the solver's scatter and gather over a stack against the dense
+        # matrices from evaluate: M_k at the unit vector e_k, minus M0
+        rng = np.random.default_rng(SEED + 11)
+        alpha = 1.0 if kind == "alpha_one" else 0.3
+        radius = 0.0 if kind == "nominal_cvar" else 0.7
+        dist, prob = small_problem(n=3, m=2, big_n=4, alpha=alpha,
+                                   radius=radius, seed=SEED + 12)
+        k_total = prob.num_vars
+        x = rng.standard_normal(k_total)
+        for st in prob.stacks:
+            group = _Group(st)
+            evaluated = st.evaluate(x)
+            assert np.max(np.abs(group.apply(x) + st.m0 - evaluated)) \
+                <= 1e-12 * np.max(np.abs(evaluated))
+            base = rng.standard_normal((st.count, st.size, st.size))
+            z = base + base.transpose(0, 2, 1)
+            dense = np.array([np.sum((st.evaluate(e_k) - st.m0) * z)
+                              for e_k in np.eye(k_total)])
+            assert np.max(np.abs(group.inner_all(z, k_total) - dense)) \
+                <= 1e-12 * np.max(np.abs(dense))
 
     def test_objective_vector(self):
         dist, prob = small_problem(n=2, m=1, big_n=3, alpha=0.25, radius=2.0)
@@ -201,7 +242,7 @@ class TestSchurEquivalences:
             dist = EmpiricalDistribution(
                 atoms=rng.standard_normal((big_n, n + m)), n=n, m=m)
             prob = build_drcvar_sdp(dist, RiskSpec(alpha=0.3, radius=0.7))
-            names = {blk.name for blk in prob.blocks}
+            names = {st.name for st in prob.stacks}
             assert not names & {"feasibility", "gamma_nonneg"}
             x = rng.standard_normal(prob.num_vars)
             a_mat = x[prob.layout_slice("A")].reshape((n, m), order="F")
@@ -215,10 +256,11 @@ class TestSchurEquivalences:
             ])
             is_psd = np.linalg.eigvalsh(feas)[0] >= -1e-11
             assert is_psd == (gamma >= smax_sq - 1e-9)
-            atoms = [blk for blk in prob.blocks if blk.name.startswith("atom_")]
-            assert len(atoms) == big_n
-            for blk in atoms:
-                assert np.array_equal(blk.evaluate(x)[1:, 1:], feas)
+            atoms = prob.stacks[1]
+            assert atoms.name == "atom"
+            assert atoms.count == big_n
+            for block in atoms.evaluate(x):
+                assert np.array_equal(block[1:, 1:], feas)
 
     def test_atom_block_iff_scalar_hinge(self):
         rng = np.random.default_rng(SEED + 2)
