@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Time the dual certificates of the audit set; append to BENCH_dual.json.
+
+The audit set is the one perfbench's ``audit_n90`` workload runs:
+``synth_spiky(SpikyConfig(days=120), seed=1)`` split at day 90 (n = m = 24),
+least-squares fits (``fit_nominal_mse``) on 9 windows of 30 days, and one
+``worst_case_cvar`` certificate of each fit on the 90 training days at every
+alpha in {0.01, 0.1, 1} and 13 radii from 1e-4 to 1e2: 351 certificates.
+
+All 351 certificates run ``RUNS`` = 3 times back to back.  The record
+holds the median and every run's milliseconds per certificate, and the
+number of objective evaluations per certificate: calls of ``cvar_discrete``
+made through ``drcvar.dual``, one for each trial gamma of the search and one
+for the certificate's final value.  Runs that disagree on the certificates
+are an error, since the search is deterministic.  The entry appended to the
+file also records the label, the date, NumPy, SciPy, the BLAS library, the
+BLAS thread variables and the core count.  BLAS thread variables left unset
+are set to 1 before NumPy is imported.
+
+To compare two checkouts, run the script with ``PYTHONPATH`` at each
+checkout's ``src`` in turn; the machine's speed drifts, so alternate them.
+
+Usage: PYTHONPATH=src python benchmarks/bench_dual.py --label TEXT
+           [--out BENCH_dual.json]
+"""
+import argparse
+import datetime
+import json
+import os
+import platform
+import statistics
+import time
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+import drcvar  # noqa: E402
+from drcvar import dual, estimate  # noqa: E402
+from drcvar.data import (SpikyConfig, split_and_normalize,  # noqa: E402
+                         synth_spiky)
+
+DAYS, TRAIN_DAYS, WINDOW, WINDOWS = 120, 90, 30, 9
+ALPHAS = (0.01, 0.1, 1.0)
+RADII = tuple(np.logspace(-4.0, 2.0, 13))
+RUNS = 3
+
+
+def audit_set():
+    """The 351 (form, data, spec) triples, in perfbench's order."""
+    ds = synth_spiky(SpikyConfig(days=DAYS), seed=1)
+    train, _, _ = split_and_normalize(ds, ds.dates[TRAIN_DAYS])
+    starts = np.linspace(0, TRAIN_DAYS - WINDOW, WINDOWS).astype(int)
+    cases = []
+    for s in starts:
+        window = drcvar.EmpiricalDistribution(
+            atoms=train.atoms[s:s + WINDOW], n=train.n, m=train.m)
+        qf = drcvar.affine_to_quadratic(
+            estimate.fit_nominal_mse(window).estimator)
+        cases += [(qf, train, drcvar.RiskSpec(alpha=alpha, radius=float(r)))
+                  for alpha in ALPHAS for r in RADII]
+    return cases
+
+
+def timed_runs(cases, runs):
+    """Milliseconds per certificate per run, and evaluations per certificate."""
+    cvar = dual.cvar_discrete
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return cvar(*args)
+
+    ms, first = [], None
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        certs = [dual.worst_case_cvar(*case) for case in cases]
+        ms.append((time.perf_counter() - t0) * 1e3 / len(cases))
+        if first is None:
+            first = certs
+        elif certs != first:
+            raise RuntimeError("certificates differ between runs")
+    dual.cvar_discrete = counted
+    try:
+        for case in cases:
+            dual.worst_case_cvar(*case)
+    finally:
+        dual.cvar_discrete = cvar
+    return {
+        "certificates": len(cases),
+        "median_ms_per_cert": round(statistics.median(ms), 4),
+        "ms_per_cert": [round(t, 4) for t in ms],
+        "evaluations_per_cert": round(calls[0] / len(cases), 3),
+        "at_boundary": sum(c.at_boundary for c in first),
+    }
+
+
+def environment():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        affinity = len(os.sched_getaffinity(0))
+    except AttributeError:
+        affinity = None
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        "cpu_count": os.cpu_count(),
+        "affinity": affinity,
+    }
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--label", required=True,
+                        help="what was measured, e.g. the commit")
+    parser.add_argument("--out", default="BENCH_dual.json")
+    args = parser.parse_args()
+
+    record = timed_runs(audit_set(), RUNS)
+    print(f"audit_n90: {record['median_ms_per_cert']} ms per certificate "
+          f"(runs {record['ms_per_cert']}), "
+          f"{record['evaluations_per_cert']} evaluations per certificate",
+          flush=True)
+    entry = {"label": args.label,
+             "date": datetime.date.today().isoformat(),
+             "env": environment(), "runs": RUNS,
+             "workloads": {"audit_n90": record}}
+
+    entries = []
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            entries = json.load(fh)["entries"]
+    entries.append(entry)
+    # one entry per line, so that appending an entry adds one line
+    with open(args.out, "w") as fh:
+        fh.write('{"entries": [\n' + ",\n".join(map(json.dumps, entries))
+                 + "\n]}\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -146,69 +146,76 @@ def load_dataset(path) -> Dataset:
     pivoted here.  Any other header is read as the wide layout
     ``date,p00..p23,l00..l23``, one row per day.  Missing hours, missing
     columns, or unparseable rows raise :class:`DataError` naming the
-    offending line or column.
+    offending line or column; so does a file that is not UTF-8 text.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8") as fh:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if header != _LONG_HEADER:
-            missing = [c for c in _WIDE_HEADER if c not in header]
-            if missing:
-                raise DataError(f"{path}: missing column(s) {missing}")
-            cols = [header.index(c) for c in _WIDE_HEADER]
-            dates, price_rows, load_rows = [], [], []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                where = f"{path}:{lineno}"
-                if len(row) < len(header):
-                    raise DataError(f"{where}: expected {len(header)} fields, "
-                                    f"got {len(row)}")
-                vals = [row[c] for c in cols]
-                dates.append(_parse_date(vals[0], where))
-                price_rows.append([_parse_float(v, where)
-                                   for v in vals[1 : 1 + HOURS]])
-                load_rows.append([_parse_float(v, where)
-                                  for v in vals[1 + HOURS :]])
-            if not dates:
-                raise DataError(f"{path}: no data rows")
-            return Dataset(dates=tuple(dates), prices=np.array(price_rows),
-                           loads=np.array(load_rows))
-        per_day: dict = {}
+            return _read_dataset(csv.reader(fh), path)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _read_dataset(reader, path) -> Dataset:
+    """Parse the rows of :func:`load_dataset`'s file; errors name ``path``."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    if header != _LONG_HEADER:
+        missing = [c for c in _WIDE_HEADER if c not in header]
+        if missing:
+            raise DataError(f"{path}: missing column(s) {missing}")
+        cols = [header.index(c) for c in _WIDE_HEADER]
+        dates, price_rows, load_rows = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             where = f"{path}:{lineno}"
-            if len(row) != 4:
-                raise DataError(f"{where}: expected 4 fields, got {len(row)}")
-            day = _parse_date(row[0], where)
-            hour = _parse_float(row[1], where)
-            if not (hour.is_integer() and 0 <= hour < HOURS):
-                raise DataError(f"{where}: hour '{row[1]}' is not an integer "
-                                f"in 0..{HOURS - 1}")
-            hour = int(hour)
-            slot = per_day.setdefault(day, {})
-            if hour in slot:
-                raise DataError(f"{where}: duplicate hour {hour} for {day}")
-            slot[hour] = (_parse_float(row[2], where),
-                          _parse_float(row[3], where))
-        if not per_day:
+            if len(row) < len(header):
+                raise DataError(f"{where}: expected {len(header)} fields, "
+                                f"got {len(row)}")
+            vals = [row[c] for c in cols]
+            dates.append(_parse_date(vals[0], where))
+            price_rows.append([_parse_float(v, where)
+                               for v in vals[1 : 1 + HOURS]])
+            load_rows.append([_parse_float(v, where)
+                              for v in vals[1 + HOURS :]])
+        if not dates:
             raise DataError(f"{path}: no data rows")
-        dates = sorted(per_day)
-        for day in dates:
-            missing_hours = sorted(set(range(HOURS)) - set(per_day[day]))
-            if missing_hours:
-                raise DataError(
-                    f"{path}: date {day} missing hour(s) {missing_hours}")
-        prices = np.array([[per_day[d][h][0] for h in range(HOURS)]
-                           for d in dates])
-        loads = np.array([[per_day[d][h][1] for h in range(HOURS)]
-                          for d in dates])
-        return Dataset(dates=tuple(dates), prices=prices, loads=loads)
+        return Dataset(dates=tuple(dates), prices=np.array(price_rows),
+                       loads=np.array(load_rows))
+    per_day: dict = {}
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        where = f"{path}:{lineno}"
+        if len(row) != 4:
+            raise DataError(f"{where}: expected 4 fields, got {len(row)}")
+        day = _parse_date(row[0], where)
+        hour = _parse_float(row[1], where)
+        if not (hour.is_integer() and 0 <= hour < HOURS):
+            raise DataError(f"{where}: hour '{row[1]}' is not an integer "
+                            f"in 0..{HOURS - 1}")
+        hour = int(hour)
+        slot = per_day.setdefault(day, {})
+        if hour in slot:
+            raise DataError(f"{where}: duplicate hour {hour} for {day}")
+        slot[hour] = (_parse_float(row[2], where),
+                      _parse_float(row[3], where))
+    if not per_day:
+        raise DataError(f"{path}: no data rows")
+    dates = sorted(per_day)
+    for day in dates:
+        missing_hours = sorted(set(range(HOURS)) - set(per_day[day]))
+        if missing_hours:
+            raise DataError(
+                f"{path}: date {day} missing hour(s) {missing_hours}")
+    prices = np.array([[per_day[d][h][0] for h in range(HOURS)]
+                       for d in dates])
+    loads = np.array([[per_day[d][h][1] for h in range(HOURS)]
+                      for d in dates])
+    return Dataset(dates=tuple(dates), prices=prices, loads=loads)
 
 
 def write_dataset(ds: Dataset, path) -> None:

@@ -47,7 +47,10 @@ def phi(tau: float, gamma: float, z, qf: QuadraticForm) -> float:
     for gamma strictly inside the feasible domain, and inf below it or on
     an excluded boundary (where the inner supremum is unbounded or only
     attained in the limit).  Evaluated by the batched
-    ``dual._transformed_losses`` that ``dual.dual_objective`` runs.
+    ``dual._transformed_losses`` that ``dual.dual_objective`` runs, as the
+    nominal loss plus the poles U_j / (gamma - lambda_j) of
+    ``dual._loss_terms``, the terms every trial gamma of
+    ``dual.worst_case_cvar`` reuses.
     """
     if not dual.gamma_domain(qf).contains(gamma):
         return math.inf

@@ -215,6 +215,15 @@ class TestErrors:
         doc = json.loads(capsys.readouterr().out)
         assert code == EXIT_DATA
 
+    def test_undecodable_csv_is_data_error(self, capsys, synth_csv, tmp_path):
+        # a UTF-16 byte-order mark: the file is not UTF-8 text
+        bad = tmp_path / "utf16.csv"
+        bad.write_bytes(b"\xff\xfe" + synth_csv.read_bytes())
+        code, doc = run_cli(capsys, ["fit", "--data", str(bad),
+                                     "--method", "nominal_mse"])
+        assert code == doc["exit_code"] == EXIT_DATA
+        assert str(bad) in doc["error"]
+
     def test_solver_error_names_status(self, capsys, synth_csv, monkeypatch):
         solve = drcvar.estimate.solve_sdp
         monkeypatch.setattr(

@@ -5,7 +5,10 @@ supremum (phi_oracle, which lives with the other test oracles in
 tests/oracles.py); the scalar dual minimization is checked against hand
 formulas for linear losses, against the nominal CVaR in the small-radius
 limit, and against an analytic expression at alpha = 1 that is itself first
-validated by an independent grid-plus-golden minimization written here.
+validated by an independent grid-plus-golden minimization written here.  The
+pieces of the slope search (a trial's slope and curvature, the bracket's
+upper end, the boundary flag) are checked against central differences of
+the objective and on constructed instances.
 """
 
 import math
@@ -15,7 +18,10 @@ import pytest
 import scipy.linalg as sla
 
 from drcvar.dual import (
+    _bracket_end,
+    _loss_terms,
     _transformed_losses,
+    _trial,
     dual_objective,
     gamma_domain,
     worst_case_cvar,
@@ -357,6 +363,158 @@ class TestWorstCaseCvar:
         dist = EmpiricalDistribution(atoms=np.array([[0.0]]), n=1, m=0)
         with pytest.raises(ValueError):
             worst_case_cvar(qf, dist, RiskSpec(alpha=0.5, radius=0.0))
+
+
+def random_form(rng, kind, d):
+    """An estimator-induced, an indefinite or a negative-definite form."""
+    if kind == "estimator":
+        n = int(rng.integers(1, d))
+        return affine_to_quadratic(AffineEstimator(
+            A=rng.standard_normal((n, d - n)), b=rng.standard_normal(n)))
+    base = rng.standard_normal((d, d))
+    if kind == "indefinite":
+        rot = np.linalg.qr(base)[0]
+        return QuadraticForm(Q=rot @ np.diag(np.linspace(-1.5, 1.0, d)) @ rot.T,
+                             q=rng.standard_normal(d))
+    return QuadraticForm(Q=-base @ base.T - 0.1 * np.eye(d),
+                         q=rng.standard_normal(d))
+
+
+KINDS = ["estimator", "indefinite", "negative"]
+
+
+class TestSlopeSearch:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_slope_matches_central_difference(self, kind):
+        rng = np.random.default_rng(SEED + 60)
+        checked = 0
+        for _ in range(12):
+            d = int(rng.integers(2, 5))
+            qf = random_form(rng, kind, d)
+            big_n = int(rng.integers(2, 9))
+            dist = EmpiricalDistribution(
+                atoms=rng.standard_normal((big_n, d)), n=d, m=0)
+            spec = RiskSpec(alpha=float(rng.choice([0.3, 0.5, 1.0])),
+                            radius=float(rng.uniform(0.05, 1.0)))
+            terms = _loss_terms(qf, dist.atoms)
+            gamma = max(gamma_domain(qf).lambda_max, 0.0) + rng.uniform(0.5, 3.0)
+            h = 1e-5 * (1.0 + gamma)
+            # smooth there: the same losses lead the CVaR at gamma +- h
+            k = int(np.floor(spec.alpha * big_n))
+            tails = {tuple(np.argsort(-_transformed_losses(g, qf, dist.atoms))
+                           [:k + 1]) for g in (gamma - h, gamma, gamma + h)}
+            if len(tails) > 1:
+                continue
+            point = _trial(gamma, terms, qf, spec)
+            assert point.f == dual_objective(gamma, qf, dist, spec)
+            slope = (dual_objective(gamma + h, qf, dist, spec)
+                     - dual_objective(gamma - h, qf, dist, spec)) / (2.0 * h)
+            assert abs(point.slope - slope) <= 1e-6 * (1.0 + abs(slope))
+            curvature = (_trial(gamma + h, terms, qf, spec).slope
+                         - _trial(gamma - h, terms, qf, spec).slope) / (2.0 * h)
+            assert abs(point.curvature - curvature) <= 1e-6 * (1.0 + curvature)
+            checked += 1
+        assert checked >= 8
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bracket_end_slope_nonnegative(self, kind):
+        rng = np.random.default_rng(SEED + 61)
+        for _ in range(20):
+            d = int(rng.integers(2, 5))
+            qf = random_form(rng, kind, d)
+            big_n = int(rng.integers(1, 12))
+            atoms = rng.standard_normal((big_n, d))
+            spec = RiskSpec(alpha=float(rng.choice([0.5 / big_n, 0.3, 1.0])),
+                            radius=float(10.0 ** rng.uniform(-6.0, 3.0)))
+            terms = _loss_terms(qf, atoms)
+            end = _bracket_end(gamma_domain(qf), terms[1], spec)
+            assert gamma_domain(qf).contains(end)
+            assert _trial(end, terms, qf, spec).slope >= 0.0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_alpha_below_one_over_n_matches_brute_force(self, kind):
+        # the CVaR is the largest loss, so the minimizer is often a kink
+        # where the leading atom changes
+        rng = np.random.default_rng(SEED + 62)
+        for _ in range(6):
+            d = int(rng.integers(2, 4))
+            qf = random_form(rng, kind, d)
+            big_n = int(rng.integers(2, 9))
+            dist = EmpiricalDistribution(
+                atoms=rng.standard_normal((big_n, d)), n=d, m=0)
+            spec = RiskSpec(alpha=0.5 / big_n,
+                            radius=float(rng.uniform(0.05, 1.0)))
+            cert = worst_case_cvar(qf, dist, spec)
+            # the brute-force grid starts above the domain's start, which is
+            # the minimizer gamma = 0 of some negative-definite forms
+            start = gamma_domain(qf).search_start()
+            brute = min(brute_force_dual_value(qf, dist, spec),
+                        dual_objective(start, qf, dist, spec))
+            assert abs(cert.value - brute) <= 1e-9 * (1.0 + abs(brute))
+
+    def test_boundary_flag_is_the_start_slope_sign(self):
+        # at_boundary holds exactly when the lower boundary is open and
+        # the objective already rises at the search start
+        rng = np.random.default_rng(SEED + 63)
+        cases = []
+        for kind in KINDS:
+            for _ in range(5):
+                d = int(rng.integers(2, 4))
+                dist = EmpiricalDistribution(
+                    atoms=rng.standard_normal((int(rng.integers(1, 6)), d)),
+                    n=d, m=0)
+                cases.append((random_form(rng, kind, d), dist))
+        one_atom = EmpiricalDistribution(atoms=np.array([[3e-6]]), n=1, m=0)
+        cases.append((QuadraticForm(Q=[[1.0]], q=[0.0]), one_atom))
+        flags = set()
+        for qf, dist in cases:
+            dom = gamma_domain(qf)
+            terms = _loss_terms(qf, dist.atoms)
+            for alpha in (0.2, 1.0):
+                for radius in (1e-3, 1.0, 1e3):
+                    spec = RiskSpec(alpha=alpha, radius=radius)
+                    cert = worst_case_cvar(qf, dist, spec)
+                    start = _trial(dom.search_start(), terms, qf, spec)
+                    expected = dom.lower_open and start.slope >= 0.0
+                    assert cert.at_boundary == expected
+                    if expected:
+                        assert cert.gamma_star == dom.search_start()
+                    flags.add((dom.lower_open, cert.at_boundary))
+        assert flags == {(True, True), (True, False), (False, False)}
+
+    def test_interior_minimizer_next_to_the_boundary_is_not_flagged(self):
+        # l(gamma) = z^2 + z^2/(gamma - 1) at alpha = r = 1 has its minimizer
+        # at gamma* = 1 + |z| = 1 + 3e-6, three margins above lambda_max = 1:
+        # inside the domain, though within the ten margins the flag once
+        # allowed
+        qf = QuadraticForm(Q=[[1.0]], q=[0.0])
+        dist = EmpiricalDistribution(atoms=np.array([[3e-6]]), n=1, m=0)
+        dom = gamma_domain(qf)
+        assert 3e-6 < 10.0 * (dom.search_start() - dom.lambda_max)
+        cert = worst_case_cvar(qf, dist, RiskSpec(alpha=1.0, radius=1.0))
+        assert not cert.at_boundary
+        assert cert.gamma_star - 1.0 == pytest.approx(3e-6, rel=1e-3)
+        assert cert.value == pytest.approx(1.0 + 9e-12 + 6e-6, rel=1e-15)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_radius_extremes(self, kind):
+        # below r ~ 1e-154 the objective's r^2 underflows; the value is then
+        # the nominal CVaR to rounding
+        rng = np.random.default_rng(SEED + 64)
+        radii = (1e-300, 1e-150, 1e-12, 1e4, 1e8)
+        for _ in range(3):
+            d = int(rng.integers(2, 5))
+            qf = random_form(rng, kind, d)
+            dist = EmpiricalDistribution(
+                atoms=rng.standard_normal((int(rng.integers(1, 10)), d)),
+                n=d, m=0)
+            for alpha in (0.05, 0.3, 1.0):
+                nominal = cvar_discrete(qf(dist.atoms), alpha).cvar
+                values = [worst_case_cvar(qf, dist, RiskSpec(alpha, r)).value
+                          for r in radii]
+                assert all(math.isfinite(v) for v in values)
+                assert all(a <= b for a, b in zip(values, values[1:]))
+                assert values[0] >= nominal - 1e-14 * (1.0 + abs(nominal))
 
 
 class TestWorstCaseMseClosed:
