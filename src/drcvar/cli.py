@@ -247,6 +247,8 @@ def _radii_from_args(args):
 def _cmd_sweep(args) -> int:
     alpha = _risk_spec(args.alpha).alpha
     radii = _radii_from_args(args)
+    if args.threads < 1:
+        raise _UsageError(f"--threads must be at least 1, got {args.threads}")
     settings = _settings()
     train, test, scaler = _prepare(args)
     if test is None:

@@ -29,6 +29,13 @@ the solves use the factor it returns); the solves skip the finiteness
 scan.  Determinism over scalability: sized for problems up to a few
 hundred variables and blocks below ~100x100.
 
+SciPy is loaded at the first solve, not when this module is imported:
+``solve_sdp`` imports ``scipy.linalg`` for ``cho_factor`` and
+``cho_solve`` (NumPy has no triangular solve), as does the ``gesvd``
+retry, and the pair index arrays import ``scipy.sparse``.  A process that
+never solves (``import drcvar``, ``drcvar gen-data``, ``drcvar eval``, a
+least-squares fit) never imports SciPy.
+
 Status classification
 ---------------------
 ``optimal``     relative complementarity gap <S, Z>, relative objective gap
@@ -56,7 +63,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .kernels import pair_index, schur_accumulate
 from .sdp import SdpProblem
@@ -180,6 +186,8 @@ def _left_svd(stack):
     try:
         u_sv, sig, _ = np.linalg.svd(stack)
     except np.linalg.LinAlgError:
+        import scipy.linalg as sla
+
         u_sv, sig, _ = sla.svd(stack, lapack_driver="gesvd")
     return u_sv, sig
 
@@ -233,6 +241,8 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
     Deterministic: identical problems and settings produce identical iterate
     sequences.  See the module docstring for status semantics.
     """
+    import scipy.linalg as sla
+
     if settings is None:
         settings = SolverSettings()
 

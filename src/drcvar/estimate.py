@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as sla
 
 from .conic import SdpSolution, SolverSettings, solve_sdp
 from .dual import DualCertificate, worst_case_cvar
@@ -173,8 +172,10 @@ def fit_dr_mse(dist: EmpiricalDistribution, r: float,
 def fit_nominal_mse(dist: EmpiricalDistribution) -> FitResult:
     """Closed-form least squares of x on y over the atoms.
 
-    Normal equations on centered data, with a 1e-10 ridge on the y-Gram
-    matrix when its Cholesky factorization fails (degenerate regressors).
+    Normal equations on centered data, solved with NumPy: the Cholesky
+    factor L of the y-Gram matrix (``np.linalg.cholesky``, with a 1e-10
+    ridge when it fails on degenerate regressors), then ``np.linalg.solve``
+    with L and with L'.  SciPy is not loaded.
     """
     t0 = time.perf_counter()
     x = dist.x
@@ -187,10 +188,11 @@ def fit_nominal_mse(dist: EmpiricalDistribution) -> FitResult:
     gram = yc.T @ yc / n_atoms
     cross = xc.T @ yc / n_atoms
     try:
-        factor = sla.cho_factor(gram, lower=True)
+        low = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        factor = sla.cho_factor(gram + 1e-10 * np.eye(dist.m), lower=True)
-    a_mat = sla.cho_solve(factor, cross.T).T
+        low = np.linalg.cholesky(gram + 1e-10 * np.eye(dist.m))
+    # NumPy has no triangular solve, so its general solve runs on L and L'
+    a_mat = np.linalg.solve(low.T, np.linalg.solve(low, cross.T)).T
     b_vec = xbar - a_mat @ ybar
     est = AffineEstimator(A=a_mat, b=b_vec)
     value = float(np.mean(loss_batch(est, dist)))

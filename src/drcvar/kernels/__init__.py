@@ -18,7 +18,9 @@ constraint matrix of variable var_e in block member_e; the entries cover
 both triangles (an off-diagonal nonzero appears once per triangle) and are
 sorted by ``member``, as the stack holds them.  The index arrays
 (:func:`pair_index`) depend only on the entries, so the solver builds them
-once per stack and passes them on every call.
+once per stack and passes them on every call.  ``pair_index`` imports
+``scipy.sparse`` when it is called, at the first solve, so importing this
+module loads no SciPy.
 
 Other x other: every ordered pair (a, b) of entries of the same block i adds
 
@@ -52,7 +54,6 @@ Slot x other: for a variable k outside the slot, over its entries e,
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = ["PairIndex", "pair_index", "schur_accumulate"]
 
@@ -65,7 +66,7 @@ class PairIndex(NamedTuple):
     at_p: np.ndarray
     at_q: np.ndarray
     weight: np.ndarray
-    scatter: sp.csr_matrix
+    scatter: "scipy.sparse.csr_matrix"
 
 
 def pair_index(member, var, p, q, v, count, size):
@@ -79,6 +80,8 @@ def pair_index(member, var, p, q, v, count, size):
     ``weight`` v_a v_b.  ``scatter`` is the (present, entries) matrix of
     2 v_e that sums the slot x other rows per variable.
     """
+    import scipy.sparse as sp
+
     t = member.shape[0]
     present, local = np.unique(var, return_inverse=True)
     k = present.shape[0]

@@ -1,11 +1,15 @@
 """The package's import footprint, and the API the benchmark runner relies on.
 
+SciPy is loaded by the first conic solve and by nothing before it, so the
+footprint tests run in fresh interpreters.
+
 The runner under perfbench/ wraps and calls ``drcvar`` functions by module
 attribute; these tests load it as a module and run its tracer installation,
 its reference checks and its input preparation against this checkout, so a
 renamed or moved function fails here rather than in a benchmark run.
 """
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -18,6 +22,64 @@ import drcvar.cli  # noqa: F401  (the runner traces drcvar.cli)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
+# run in a fresh interpreter: each step's SciPy modules, as one JSON object
+FOOTPRINT = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+
+import drcvar
+import drcvar.cli
+steps = {"import": scipy_modules()}
+data, fit, out = sys.argv[1:4]
+for name, argv in [
+        ("gen-data", ["gen-data", "--seed", "3", "--days", "8",
+                      "--out", data]),
+        ("fit nominal_mse", ["fit", "--data", data, "--method",
+                             "nominal_mse", "--out", fit]),
+        ("eval", ["eval", "--data", data, "--estimator", fit,
+                  "--alpha", "0.2"]),
+        ("fit dr_cvar", ["fit", "--data", data, "--alpha", "0.2",
+                         "--radius", "0.1", "--out", out])]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = drcvar.cli.dispatch(argv)
+    assert code == 0, (name, code)
+    steps[name] = scipy_modules()
+print(json.dumps(steps))
+"""
+
+# radius_sweep on 2 threads as the process's first solve, so that both
+# workers make its first import of scipy.linalg at once; then on 1 thread
+CONCURRENT_FIRST_SOLVE = """
+import json, sys
+from drcvar.data import (SpikyConfig, radius_sweep, split_and_normalize,
+                         synth_spiky)
+
+assert "scipy.linalg" not in sys.modules
+ds = synth_spiky(SpikyConfig(days=9), seed=1)
+train, test, scaler = split_and_normalize(ds, ds.dates[6])
+for threads in (2, 1):
+    report = radius_sweep(train, test, 0.1, [0.01], scaler=scaler,
+                          threads=threads)
+    print(json.dumps([(r.radius, r.method, repr(r.in_sample_value),
+                       repr(r.oos_cvar), repr(r.oos_mse), repr(r.gamma),
+                       r.status) for r in report.rows]))
+"""
+
+
+def fresh_python(code, *args):
+    """Run ``code`` in a new interpreter that imports this checkout."""
+    src = str(Path(drcvar.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
 
 def test_import_does_not_load_scipy_optimize():
     src = str(Path(drcvar.__file__).resolve().parents[1])
@@ -29,6 +91,23 @@ def test_import_does_not_load_scipy_optimize():
          "import sys, drcvar; print('scipy.optimize' in sys.modules)"],
         capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_scipy_loads_at_the_first_solve_only(tmp_path):
+    steps = json.loads(fresh_python(
+        FOOTPRINT, str(tmp_path / "d.csv"), str(tmp_path / "fit.json"),
+        str(tmp_path / "dr.json")))
+    for name in ("import", "gen-data", "fit nominal_mse", "eval"):
+        assert steps[name] == [], name
+    assert "scipy.linalg" in steps["fit dr_cvar"]
+
+
+def test_concurrent_first_solve_matches_serial():
+    threaded, serial = fresh_python(CONCURRENT_FIRST_SOLVE).splitlines()
+    assert threaded == serial
+    rows = json.loads(serial)
+    assert len(rows) == 2
+    assert all(row[-1] == "optimal" for row in rows)
 
 
 @pytest.fixture

@@ -336,6 +336,10 @@ class TestErrors:
                       "2013-05-08", "--radii-log-from=-1e308",
                       "--radii-log-to", "1e308"], None,
                      id="sweep-log-span-overflow"),
+        *[pytest.param(["sweep", "--data", "{data}", "--split-date",
+                        "2013-05-08", "--radii", "0.3", "--threads", n],
+                       None, id=f"sweep-threads-{n}")
+          for n in ("0", "-3")],
     ])
     def test_out_of_range_value_is_usage_error(self, capsys, synth_csv,
                                                tmp_path, monkeypatch, argv,
