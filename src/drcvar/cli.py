@@ -164,7 +164,8 @@ def _read_fit_result(path):
 
     A document of another kind, one without the estimator or the
     normalization, or one whose estimator is not 24x24 or whose
-    normalization vectors are not of length 48, is a DataError.
+    normalization vectors are not of length 48 or hold an entry that is
+    not a finite number (``null``, ``NaN``, ``Infinity``), is a DataError.
     """
     with open(path) as fh:
         fit_doc = json.load(fh)
@@ -176,8 +177,9 @@ def _read_fit_result(path):
     try:
         est = AffineEstimator(A=np.array(fit_doc["estimator"]["A"]),
                               b=np.array(fit_doc["estimator"]["b"]))
-        scaler = MinMaxScaler(minimum=np.array(norm["minimum"]),
-                              maximum=np.array(norm["maximum"]))
+        scaler = MinMaxScaler(
+            minimum=np.array(norm["minimum"], dtype=float),
+            maximum=np.array(norm["maximum"], dtype=float))
     except KeyError as exc:
         raise DataError(f"{path}: fit_result lacks {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -187,6 +189,8 @@ def _read_fit_result(path):
                         "24x24")
     if scaler.minimum.shape != (48,) or scaler.maximum.shape != (48,):
         raise DataError(f"{path}: normalization vectors must have length 48")
+    if not np.isfinite([scaler.minimum, scaler.maximum]).all():
+        raise DataError(f"{path}: normalization vectors must be finite")
     return est, scaler
 
 

@@ -15,9 +15,10 @@ its spectrum floored (:func:`_cholesky_floored`).
 
 Dense linear algebra throughout, on the problem's block stacks
 (:class:`drcvar.sdp.LmiStack`) as given: the per-block factorizations hit
-batched LAPACK calls instead of Python loops, and the normal matrix is
-assembled by one :func:`drcvar.kernels.schur_accumulate` call per stack,
-with the stack's pair index arrays built once per solve.  The normal
+batched LAPACK calls instead of Python loops, the affine map and its
+adjoint are the stack's own, and the normal matrix is assembled by one
+:func:`drcvar.kernels.schur_accumulate` call per stack, with the pair
+index arrays built once per stack and kept with it.  The normal
 matrix H, the Fortran-order buffer of its equilibrated Cholesky factor and
 the equilibration scale are allocated once per solve and reused every
 iteration, so no iteration makes a K x K temporary: H is zeroed and
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import pair_index, schur_accumulate
+from .kernels import schur_accumulate
 from .sdp import SdpProblem
 
 _DIVERGENCE_FACTOR = 1e8
@@ -108,57 +109,20 @@ class SdpSolution:
     dual_blocks: tuple
 
 
-class _Group:
-    """One block stack of the problem, with the index arrays of its entries.
-
-    ``flat`` holds each entry's position in the (count, s, s) stack, so
-    evaluating the affine map or its adjoint over the stack is one scatter
-    or gather.  The Schur assembly reads the entries outside the slot,
-    ``others`` as (member, var, p, q, v), their pair index arrays
-    ``pairs``, and the stack's ``slot``.
-    """
-
-    __slots__ = ("size", "count", "m0", "var", "flat", "v", "slot",
-                 "others", "pairs")
-
-    def __init__(self, stack):
-        self.size = stack.size
-        self.count = stack.count
-        self.m0 = stack.m0
-        self.slot = stack.slot
-        # the slot's entries come first: every slot variable precedes every
-        # other, so each sum over a position or a variable keeps its order
-        member, self.var, p, q, self.v = stack.entries
-        self.flat = (member * self.size + p) * self.size + q
-        self.others = (stack.member, stack.var, stack.p, stack.q, stack.v)
-        self.pairs = pair_index(*self.others, self.count, self.size)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """(count, s, s) stack of sum_k x_k Mk over the members."""
-        w = self.v * x[self.var]
-        out = np.bincount(self.flat, weights=w,
-                          minlength=self.count * self.size * self.size)
-        return out.reshape(self.count, self.size, self.size)
-
-    def inner_all(self, stack: np.ndarray, k: int) -> np.ndarray:
-        """sum over the members of <Mk, stack_j> for every variable."""
-        w = stack.ravel()[self.flat] * self.v
-        return np.bincount(self.var, weights=w, minlength=k)
-
-
-def _normal_matrix(groups, u_w, h_mat):
+def _normal_matrix(stacks, u_w, h_mat):
     """Fill h_mat with H[k,l] = sum_j <Mk, W_j^-1 Ml W_j^-1>, both triangles.
 
-    ``u_w`` holds the (count, s, s) stack of W^-1 per group; h_mat is
-    zeroed first.  The kernel is called once per group through this
+    ``u_w`` holds the (count, s, s) stack of W^-1 per block stack; h_mat is
+    zeroed first.  The kernel is called once per stack through this
     module's ``schur_accumulate`` attribute, so a wrapper installed there
     sees every call.
     """
     h_mat.fill(0.0)
-    for g, u in zip(groups, u_w):
-        slot = () if g.slot is None else (g.slot.rows, g.slot.cols,
-                                          g.slot.offset)
-        schur_accumulate(h_mat, u, *g.others, g.pairs, *slot)
+    for st, u in zip(stacks, u_w):
+        slot = () if st.slot is None else (st.slot.rows, st.slot.cols,
+                                           st.slot.offset)
+        schur_accumulate(h_mat, u, st.member, st.var, st.p, st.q, st.v,
+                         st.pairs, *slot)
 
 
 def _equilibrate_lower(h_mat, jac, out):
@@ -228,9 +192,7 @@ def certify(problem: SdpProblem, x: np.ndarray, slack_blocks, dual_blocks):
     for st, s_mat, z_mat in zip(problem.stacks, slack_blocks, dual_blocks):
         pres += float(np.sum((s_mat - st.evaluate(x)) ** 2))
         gap += float(np.sum(s_mat * z_mat))
-        member, var, p, q, v = st.entries
-        atz += np.bincount(var, weights=z_mat[member, p, q] * v,
-                           minlength=problem.num_vars)
+        atz += st.adjoint(z_mat, problem.num_vars)
     dres = float(np.linalg.norm(problem.objective - atz))
     return gap, math.sqrt(pres) / (1.0 + norm_m0), dres / (1.0 + norm_c)
 
@@ -248,19 +210,19 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
 
     k_total = problem.num_vars
     c = np.asarray(problem.objective, dtype=float)
-    groups = [_Group(st) for st in problem.stacks]
-    dim = sum(g.size * g.count for g in groups)
+    stacks = problem.stacks
+    dim = sum(st.size * st.count for st in stacks)
 
-    norm_m0 = math.sqrt(sum(float(np.sum(g.m0**2)) for g in groups))
+    norm_m0 = math.sqrt(sum(float(np.sum(st.m0**2)) for st in stacks))
     norm_c = float(np.linalg.norm(c))
 
     x = np.zeros(k_total)
     eta_p = max(1.0, norm_m0)
     eta_d = max(1.0, norm_c)
-    s_st = [np.repeat(eta_p * np.eye(g.size)[None], g.count, axis=0)
-            for g in groups]
-    z_st = [np.repeat(eta_d * np.eye(g.size)[None], g.count, axis=0)
-            for g in groups]
+    s_st = [np.repeat(eta_p * np.eye(st.size)[None], st.count, axis=0)
+            for st in stacks]
+    z_st = [np.repeat(eta_d * np.eye(st.size)[None], st.count, axis=0)
+            for st in stacks]
 
     # per-solve workspace: the normal matrix, the buffer of its equilibrated
     # factor (Fortran order, so that LAPACK can factor it without a copy)
@@ -297,18 +259,16 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
 
     stall_count = 0
     for it in range(settings.max_iter):
-        r_p = [s_st[gi_] - g.m0 - g.apply(x) for gi_, g in enumerate(groups)]
-        atz = np.zeros(k_total)
-        for gi_, g in enumerate(groups):
-            atz += g.inner_all(z_st[gi_], k_total)
+        r_p = [s - st.m0 - st.linear(x) for s, st in zip(s_st, stacks)]
+        atz = sum(st.adjoint(z, k_total) for z, st in zip(z_st, stacks))
         r_d = c - atz
 
         gap = sum(float(np.sum(s_st[gi_] * z_st[gi_]))
-                  for gi_ in range(len(groups)))
+                  for gi_ in range(len(stacks)))
         mu = gap / dim
         pobj = float(c @ x)
-        dobj = -sum(float(np.sum(g.m0 * z_st[gi_]))
-                    for gi_, g in enumerate(groups))
+        dobj = -sum(float(np.sum(st.m0 * z_st[gi_]))
+                    for gi_, st in enumerate(stacks))
         pinf = math.sqrt(sum(float(np.sum(r**2)) for r in r_p)) / (1.0 + norm_m0)
         dinf = float(np.linalg.norm(r_d)) / (1.0 + norm_c)
         obj_scale = max(1.0, 0.5 * (abs(pobj) + abs(dobj)))
@@ -333,8 +293,8 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
         xnorm = float(np.linalg.norm(x))
         if pobj < -_DIVERGENCE_FACTOR * max(1.0, abs(dobj), norm_c) and xnorm > 0:
             ray = x / xnorm
-            ray_min = min(float(np.min(np.linalg.eigvalsh(g.apply(ray))))
-                          for g in groups)
+            ray_min = min(float(np.min(np.linalg.eigvalsh(st.linear(ray))))
+                          for st in stacks)
             if float(c @ ray) <= -_CERT_TOL and ray_min >= -_CERT_TOL:
                 return finish("unbounded", it)
 
@@ -345,7 +305,7 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
         # G^-1 = diag(sig^-1/2) Usv' Lz', lambda = sig, W^-1 = G^-T G^-1.
         g_inv, g_inv_t, lam, u_w, rt_outer = [], [], [], [], []
         try:
-            for gi_, g in enumerate(groups):
+            for gi_, st in enumerate(stacks):
                 l_s, s_st[gi_] = _cholesky_floored(s_st[gi_])
                 l_z, z_st[gi_] = _cholesky_floored(z_st[gi_])
                 u_sv, sig = _left_svd(l_z.transpose(0, 2, 1) @ l_s)
@@ -360,7 +320,7 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
         except np.linalg.LinAlgError:
             return fail("numerical", it)
 
-        _normal_matrix(groups, u_w, h_mat)
+        _normal_matrix(stacks, u_w, h_mat)
         # the one finiteness check of H; the factor and solves skip theirs
         if not np.isfinite(h_mat).all():
             return fail("numerical", it)
@@ -396,10 +356,10 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
             # keeps each side PSD, capped at 1, from one eigvalsh per group
             # over both sides' scaled directions
             rhs = -r_d
-            for gi_, g in enumerate(groups):
+            for gi_, st in enumerate(stacks):
                 t_st = g_inv_t[gi_] @ rtc[gi_] @ g_inv[gi_]
                 t_st += u_w[gi_] @ r_p[gi_] @ u_w[gi_]
-                rhs += g.inner_all(t_st, k_total)
+                rhs += st.adjoint(t_st, k_total)
             dx = solve_eq(rhs)
             # iterative refinement; the normal matrix gets ill-conditioned
             # near convergence despite the equilibration, and any ridge
@@ -408,8 +368,8 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
                 dx += solve_eq(rhs - h_mat @ dx)
             ds, ds_sc, dz_sc = [], [], []
             longest = np.full(2, np.inf)
-            for gi_, g in enumerate(groups):
-                d_s = g.apply(dx) - r_p[gi_]
+            for gi_, st in enumerate(stacks):
+                d_s = st.linear(dx) - r_p[gi_]
                 d_s_sc = g_inv[gi_] @ d_s @ g_inv_t[gi_]
                 d_z_sc = rtc[gi_] - d_s_sc
                 w = np.linalg.eigvalsh(
@@ -427,8 +387,8 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
         # converges
         frac = min(0.999, max(_STEP_FRACTION,
                               1.0 - 10.0 * max(relgap, pinf, dinf)))
-        lam_diag = [lam[gi_][:, :, None] * np.eye(g.size)
-                    for gi_, g in enumerate(groups)]
+        lam_diag = [lam[gi_][:, :, None] * np.eye(st.size)
+                    for gi_, st in enumerate(stacks)]
         try:
             # predictor: the affine-scaling direction, full step lengths
             _, _, dss_a, dzs_a, ap_aff, ad_aff = step(
@@ -436,15 +396,15 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
             mu_aff = sum(
                 float(np.sum((lam_diag[gi_] + ap_aff * dss_a[gi_])
                              * (lam_diag[gi_] + ad_aff * dzs_a[gi_])))
-                for gi_ in range(len(groups))
+                for gi_ in range(len(stacks))
             ) / dim
             sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
 
             # corrector: centering at sigma * mu plus the second-order term
             rtc = []
-            for gi_, g in enumerate(groups):
+            for gi_, st in enumerate(stacks):
                 lam_sq = lam[gi_] ** 2
-                corr = (sigma * mu - lam_sq)[:, :, None] * np.eye(g.size)
+                corr = (sigma * mu - lam_sq)[:, :, None] * np.eye(st.size)
                 corr -= 0.5 * (dss_a[gi_] @ dzs_a[gi_] + dzs_a[gi_] @ dss_a[gi_])
                 denom = 0.5 * (lam[gi_][:, :, None] + lam[gi_][:, None, :])
                 rtc.append(corr / denom)
@@ -462,7 +422,7 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
             stall_count = 0
 
         x = x + alpha * dx
-        for gi_ in range(len(groups)):
+        for gi_ in range(len(stacks)):
             s_new = s_st[gi_] + alpha * ds[gi_]
             dz = g_inv_t[gi_] @ dzs[gi_] @ g_inv[gi_]
             z_new = z_st[gi_] + alpha * dz

@@ -383,10 +383,13 @@ def radius_sweep(train: EmpiricalDistribution, test: EmpiricalDistribution,
                  threads: int = 1) -> SweepReport:
     """Refit dr_cvar and dr_mse per radius and evaluate out of sample.
 
-    Radii must be positive and sorted ascending.  Failed solves are recorded
-    with their status and the sweep continues.  Rows come back ordered by
-    radius then method; numerical outputs do not depend on ``threads``.
+    Radii must be positive and sorted ascending, and ``threads`` at least
+    1.  Failed solves are recorded with their status and the sweep
+    continues.  Rows come back ordered by radius then method; numerical
+    outputs do not depend on ``threads``.
     """
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     radii = [float(r) for r in radii]
     if any(r <= 0.0 for r in radii):
         raise ValueError("radii must be positive")

@@ -17,8 +17,9 @@ none when ``rows`` is None).  Entry e puts v_e at (p_e, q_e) of the
 constraint matrix of variable var_e in block member_e; the entries cover
 both triangles (an off-diagonal nonzero appears once per triangle) and are
 sorted by ``member``, as the stack holds them.  The index arrays
-(:func:`pair_index`) depend only on the entries, so the solver builds them
-once per stack and passes them on every call.  ``pair_index`` imports
+(:func:`pair_index`) depend only on the entries, so they are built once
+per stack (:attr:`drcvar.sdp.LmiStack.pairs`, at the stack's first solve)
+and passed on every call.  ``pair_index`` imports
 ``scipy.sparse`` when it is called, at the first solve, so importing this
 module loads no SciPy.
 
@@ -72,8 +73,8 @@ class PairIndex(NamedTuple):
 def pair_index(member, var, p, q, v, count, size):
     """Index arrays of the entry pairs of a stack of ``count`` blocks.
 
-    They depend only on the entries, so a solver builds them once per
-    stack.  ``present`` holds the distinct variables, and each ordered pair
+    They depend only on the entries, so each stack builds them once.
+    ``present`` holds the distinct variables, and each ordered pair
     (a, b) of entries of one block gets its flat position ``key`` in the
     present x present block, the flat positions ``at_p``, ``at_q`` of
     U_i[p_a, p_b] and U_i[q_a, q_b] in the (count, size, size) stack, and

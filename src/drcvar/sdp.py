@@ -6,12 +6,13 @@ affine symmetric-matrix map
     S_j(x) = M0_j + sum_k x_k * Mk_j  required PSD.
 
 The inequalities come in stacks (:class:`LmiStack`): ``count`` blocks of one
-size and one sparsity shape, held as the dense (count, s, s) constants and
-the coefficient entries of all members, each entry (member, var, p, q, v)
-putting v at (p, q) of Mk for k = var in that member.  Entries cover both
-triangles, so an off-diagonal nonzero appears once per triangle.  The solver
-runs on the stacks as given: one batched factorization per stack and
-iteration, and one scatter or gather per stack for the map and its adjoint.
+size and one sparsity shape, held as the dense (count, s, s) constants, a
+matrix-variable slot (below) and the entries of the other variables, each
+entry (member, var, p, q, v) putting v at (p, q) of Mk for k = var in that
+member.  Entries cover both triangles, so an off-diagonal nonzero appears
+once per triangle.  The solver runs on the stacks as given: one batched
+factorization per stack and iteration, and the stack's own linear map and
+adjoint.
 
 The robust CVaR estimation problem for an empirical distribution with atoms
 z_i = (x_i, y_i) has two stacks: ``nonneg``, the 1x1 nonnegativity blocks of
@@ -61,10 +62,11 @@ variable X = [A b] (n x (m+1)), whose column-major vec is the leading
 n(m+1) entries of x.  Variable X[u, v] enters member i of a stack as
 a_u c_v' + c_v a_u' with a_u = e_{R_u} for a row set R shared by the stack
 and c_v column v of the member's own matrix C_i.  A stack declares this as
-its :class:`MatrixSlot`, which generates the slot's coefficient entries
-from R and the (count, s, w) stack of C_i, and the solver assembles the
-slot's part of the normal matrix from R and C by dense products instead of
-entry pairs (see :mod:`drcvar.kernels`).  The slot of the atom stack is
+its :class:`MatrixSlot`: R, one contiguous range of rows, and the
+(count, s, w) stack of C_i.  The stack's map and adjoint and the slot's
+part of the normal matrix all read that one form, by dense products
+instead of entries (see :mod:`drcvar.kernels`).  The slot of the atom
+stack is
 
     R = 1 + d + (0..n-1),  c_v = e_{1+n+v} - y_iv e_0 (v < m),  c_m = -e_0,
 
@@ -78,6 +80,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .kernels import pair_index
 from .model import AffineEstimator, EmpiricalDistribution, RiskSpec
 
 
@@ -87,55 +90,37 @@ class MatrixSlot:
 
     Variable X[u, v] has index ``offset + v*n + u`` and, in member i, the
     coefficient matrix e_{rows[u]} c' + c e_{rows[u]}' with c =
-    ``cols[i, :, v]``; ``cols`` is (count, s, w).
+    ``cols[i, :, v]``; ``cols`` is (count, s, w).  ``rows`` must be one
+    ascending contiguous range of integers, so the stack adds into rows R
+    through a slice and no row is repeated.
     """
 
     offset: int
     rows: np.ndarray
     cols: np.ndarray
 
+    def __post_init__(self):
+        rows = self.rows
+        if rows.ndim != 1 or rows.shape[0] == 0 or np.any(np.diff(rows) != 1) \
+                or not np.issubdtype(rows.dtype, np.integer):
+            raise ValueError("slot rows are not one contiguous range")
+
     @property
     def num_vars(self) -> int:
         return self.rows.shape[0] * self.cols.shape[2]
 
-    def entries(self):
-        """Entries (member, var, p, q, v) of the slot's variables, both
-        triangles: by member, then variable, then the lower-triangle entries
-        by row and column, then their mirrors."""
-        count, _, w = self.cols.shape
-        n = self.rows.shape[0]
-        # the nonzeros c_j of each column, by member, then column, then j;
-        # for X[u, v] the lower entry of c_j is (R_u, j) or (j, R_u), so
-        # ordering by j orders the lower entries by row and column
-        i, col, j = np.nonzero(self.cols.transpose(0, 2, 1))
-        val = self.cols[i, j, col]
-        pair = i * w + col
-        length = np.bincount(pair, minlength=count * w)
-        start = (np.cumsum(length) - length)[pair]
-        length = length[pair]
-        # grid (e, 2u + h): half h of the entry of nonzero e in X[u, v].  A
-        # (member, column) pair with L nonzeros takes 2nL places of the
-        # output, for each u its L lower entries, then their L mirrors
-        place = ((start * (2 * n - 1) + np.arange(pair.shape[0]))[:, None]
-                 + np.arange(2 * n) * length[:, None])
-        order = np.empty(place.size, dtype=np.intp)
-        order[place.ravel()] = np.arange(place.size)
-        r = np.repeat(self.rows, 2)
-        mirror = np.tile([False, True], n)
-        jc = j[:, None]
-        lo, hi = np.minimum(r, jc), np.maximum(r, jc)
-        # a diagonal position collects both halves of a_u c_v' + c_v a_u',
-        # and has no mirror
-        diag = r == jc
-        grid = (np.broadcast_to(i[:, None], place.shape),
-                self.offset + (col * n)[:, None] + np.repeat(np.arange(n), 2),
-                np.where(mirror, lo, hi), np.where(mirror, hi, lo),
-                np.where(diag, 2.0, 1.0) * val[:, None])
-        fields = [g.ravel()[order] for g in grid]
-        keep = ~(diag & mirror).ravel()[order]
-        if not keep.all():
-            fields = [f[keep] for f in fields]
-        return tuple(fields)
+    @cached_property
+    def layout(self):
+        """(R, S, C_S): the rows R and the shortest range S of rows holding
+        every nonzero of C, as slices, and C on S as a contiguous
+        (count * len(S), w) array.  The map and its adjoint skip the rows
+        outside S (24 of the 73 rows of a day-ahead atom block)."""
+        nonzero = np.flatnonzero(np.any(self.cols != 0.0, axis=(0, 2)))
+        span = slice(nonzero[0], nonzero[-1] + 1) if nonzero.size \
+            else slice(0, 0)
+        packed = np.ascontiguousarray(self.cols[:, span, :])
+        return (slice(self.rows[0], self.rows[-1] + 1), span,
+                packed.reshape(-1, self.cols.shape[2]))
 
 
 @dataclass(frozen=True)
@@ -144,8 +129,10 @@ class LmiStack:
 
     ``m0`` holds the dense (count, s, s) constants.  ``member``, ``var``,
     ``p``, ``q``, ``v`` hold the entries of the variables outside ``slot``,
-    both triangles, sorted by member, then variable; the slot's entries
-    come from :meth:`MatrixSlot.entries`.
+    both triangles, sorted by member, then variable.  :meth:`linear` and
+    :meth:`adjoint` are the stack's linear map and its adjoint: one scatter
+    or gather over those entries, plus the slot's part from R and C by
+    dense products.
     """
 
     name: str
@@ -179,24 +166,55 @@ class LmiStack:
         return self.m0.shape[1]
 
     @cached_property
-    def entries(self):
-        """Every entry (member, var, p, q, v): the slot's, then the others.
+    def _flat(self) -> np.ndarray:
+        """Each entry's position in the flattened (count, s, s) stack."""
+        return (self.member * self.size + self.p) * self.size + self.q
 
-        Computed on first use and kept, as the solver, :func:`certify
-        <drcvar.conic.certify>` and :func:`extract_estimator` all read it.
+    @cached_property
+    def pairs(self):
+        """The :func:`~drcvar.kernels.pair_index` arrays of the entries.
+
+        Built on first use, at the first solve, and kept with the stack.
         """
-        others = (self.member, self.var, self.p, self.q, self.v)
-        if self.slot is None:
-            return others
-        return tuple(np.concatenate(parts)
-                     for parts in zip(self.slot.entries(), others))
+        return pair_index(self.member, self.var, self.p, self.q, self.v,
+                          self.count, self.size)
+
+    def linear(self, x: np.ndarray) -> np.ndarray:
+        """Dense (count, s, s) stack of sum_k x_k Mk_i, without M0."""
+        out = np.bincount(self._flat, weights=self.v * x[self.var],
+                          minlength=self.m0.size).reshape(self.m0.shape)
+        slot = self.slot
+        if slot is not None:
+            n, w = slot.rows.shape[0], slot.cols.shape[2]
+            r, span, cols = slot.layout
+            # the slot adds R X C_i' + C_i X' R': half = C_i X' on the rows S
+            # into columns R, and its transpose into rows R
+            x_t = x[slot.offset:slot.offset + n * w].reshape(w, n)
+            half = (cols @ x_t).reshape(self.count, -1, n)
+            out[:, span, r] += half
+            out[:, r, span] += half.transpose(0, 2, 1)
+        return out
+
+    def adjoint(self, z: np.ndarray, k: int) -> np.ndarray:
+        """Sum over the members of <Mk_i, z_i>, for variables 0..k-1."""
+        out = np.bincount(self.var, weights=z.ravel()[self._flat] * self.v,
+                          minlength=k)
+        slot = self.slot
+        if slot is not None:
+            n, w = slot.rows.shape[0], slot.cols.shape[2]
+            r, span, cols = slot.layout
+            # <e_{R_u} c' + c e_{R_u}', z_i> = (z_i[R_u, :] + z_i[:, R_u]') c,
+            # summed over the members by one GEMM with axes (u, (i, row))
+            z_r = np.empty((n, self.count, span.stop - span.start))
+            np.add(z[:, r, span].transpose(1, 0, 2),
+                   z[:, span, r].transpose(2, 0, 1), out=z_r)
+            g = z_r.reshape(n, -1) @ cols
+            out[slot.offset:slot.offset + n * w] += g.T.ravel()
+        return out
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Dense (count, s, s) stack of S_i(x) = M0_i + sum_k x_k Mk_i."""
-        member, var, p, q, v = self.entries
-        flat = (member * self.size + p) * self.size + q
-        sx = np.bincount(flat, weights=v * x[var], minlength=self.m0.size)
-        return self.m0 + sx.reshape(self.m0.shape)
+        return self.m0 + self.linear(x)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 emitted document is validated against its published schema."""
 
 import json
+import math
 import subprocess
 import sys
 from importlib import resources
@@ -114,6 +115,25 @@ class TestFitEval:
         ])
         assert code == doc["exit_code"] == EXIT_DATA
         assert doc["kind"] == "error"
+
+    @pytest.mark.parametrize("value", [None, math.nan, math.inf, -math.inf],
+                             ids=["null", "NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("key", ["minimum", "maximum"])
+    def test_eval_rejects_non_finite_normalization(self, capsys, synth_csv,
+                                                   tmp_path, key, value):
+        # json.load reads NaN and Infinity as floats and null as None
+        fit_path = tmp_path / "fit.json"
+        run_cli(capsys, ["fit", "--data", str(synth_csv),
+                         "--method", "nominal_mse", "--out", str(fit_path)])
+        fit_doc = json.loads(fit_path.read_text())
+        fit_doc["normalization"][key][3] = value
+        fit_path.write_text(json.dumps(fit_doc))
+        code, doc = run_cli(capsys, [
+            "eval", "--data", str(synth_csv), "--estimator", str(fit_path),
+            "--alpha", "0.5",
+        ])
+        assert code == doc["exit_code"] == EXIT_DATA
+        assert "finite" in doc["error"]
 
 
 class TestCheckDual:

@@ -276,6 +276,13 @@ class TestRadiusSweep:
         with pytest.raises(ValueError):
             radius_sweep(train, test, 0.4, [1.0, 0.1])
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_rejects_fewer_than_one_thread(self, threads):
+        # a thread count below 1 is an error, not a serial sweep
+        train, test = self._dists(14)
+        with pytest.raises(ValueError, match="threads"):
+            radius_sweep(train, test, 0.4, [0.1], threads=threads)
+
 
 class TestSynthSpiky:
     def test_same_seed_identical(self, tmp_path):

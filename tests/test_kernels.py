@@ -30,6 +30,12 @@ def dense_reference(k_total, u, var, p, q, v):
     mats = np.zeros((k_total, u.shape[0], u.shape[0]))
     for a in range(var.shape[0]):
         mats[var[a], p[a], q[a]] += v[a]
+    return dense_from_matrices(mats, u)
+
+
+def dense_from_matrices(mats, u):
+    """H[k,l] = <Mk, U Ml U> from the dense (k_total, s, s) stack of Mk."""
+    k_total = mats.shape[0]
     h = np.zeros((k_total, k_total))
     for k in range(k_total):
         uku = u @ mats[k] @ u
@@ -102,18 +108,14 @@ def test_slot_block_in_row_blocks_matches_formula():
     assert not h.any()
 
 
-def groups_of(prob):
-    """The solver's groups: one per block stack, in order."""
-    return [conic._Group(st) for st in prob.stacks]
-
-
-def random_scalings(rng, groups):
-    """Random well-conditioned PSD W^-1 stack per block group."""
-    stacks = []
-    for g in groups:
-        base = rng.standard_normal((g.count, g.size, g.size))
-        stacks.append(base @ base.transpose(0, 2, 1) + g.size * np.eye(g.size))
-    return stacks
+def random_scalings(rng, stacks):
+    """Random well-conditioned PSD W^-1 stack per block stack."""
+    scalings = []
+    for st in stacks:
+        base = rng.standard_normal((st.count, st.size, st.size))
+        scalings.append(base @ base.transpose(0, 2, 1)
+                        + st.size * np.eye(st.size))
+    return scalings
 
 
 def problem(kind, n, m, big_n, seed):
@@ -126,20 +128,20 @@ def problem(kind, n, m, big_n, seed):
     return build_drcvar_sdp(dist, RiskSpec(alpha=alpha, radius=0.3))
 
 
-def stacked_dense_reference(prob, groups, u_w):
+def stacked_dense_reference(prob, u_w):
+    """H from each member's dense Mk = evaluate(e_k) - M0."""
     ref = np.zeros((prob.num_vars, prob.num_vars))
     for st, u in zip(prob.stacks, u_w):
-        member, var, p, q, v = st.entries
+        mats = np.array([st.evaluate(e_k) - st.m0
+                         for e_k in np.eye(prob.num_vars)])
         for i in range(st.count):
-            at = member == i
-            ref += dense_reference(prob.num_vars, u[i], var[at], p[at],
-                                   q[at], v[at])
+            ref += dense_from_matrices(mats[:, i], u[i])
     return ref
 
 
-def normal_matrix(prob, groups, u_w):
+def normal_matrix(prob, u_w):
     h = np.empty((prob.num_vars, prob.num_vars))
-    conic._normal_matrix(groups, u_w, h)
+    conic._normal_matrix(prob.stacks, u_w, h)
     return h
 
 
@@ -150,20 +152,18 @@ def test_structured_assembly_matches_pairwise(kind):
         nonneg = prob.stacks[0]
         assert nonneg.count == prob.meta["N"] + 1
         assert nonneg.var[-1] == prob.layout_slice("tau").start
-    groups = groups_of(prob)
-    assert any(g.slot is not None for g in groups)
-    u_w = random_scalings(np.random.default_rng(11), groups)
-    h = normal_matrix(prob, groups, u_w)
-    ref = stacked_dense_reference(prob, groups, u_w)
+    assert any(st.slot is not None for st in prob.stacks)
+    u_w = random_scalings(np.random.default_rng(11), prob.stacks)
+    h = normal_matrix(prob, u_w)
+    ref = stacked_dense_reference(prob, u_w)
     assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_structured_assembly_matches_dense_reference():
     prob = problem("dr_cvar", n=2, m=2, big_n=3, seed=3)
-    groups = groups_of(prob)
-    u_w = random_scalings(np.random.default_rng(5), groups)
-    h = normal_matrix(prob, groups, u_w)
-    ref = stacked_dense_reference(prob, groups, u_w)
+    u_w = random_scalings(np.random.default_rng(5), prob.stacks)
+    h = normal_matrix(prob, u_w)
+    ref = stacked_dense_reference(prob, u_w)
     assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -171,13 +171,12 @@ def test_workspace_carries_nothing_over():
     # n = 3 rows against m + 1 = 5 slot columns, so an assembly that swaps
     # the row and column axes of the slot block cannot pass
     prob = problem("dr_cvar", n=3, m=4, big_n=4, seed=13)
-    groups = groups_of(prob)
     rng = np.random.default_rng(17)
-    first = random_scalings(rng, groups)
-    second = random_scalings(rng, groups)
+    first = random_scalings(rng, prob.stacks)
+    second = random_scalings(rng, prob.stacks)
     h = np.full((prob.num_vars, prob.num_vars), np.nan)
-    conic._normal_matrix(groups, first, h)
-    conic._normal_matrix(groups, second, h)
-    assert np.array_equal(h, normal_matrix(prob, groups, second))
-    ref = stacked_dense_reference(prob, groups, second)
+    conic._normal_matrix(prob.stacks, first, h)
+    conic._normal_matrix(prob.stacks, second, h)
+    assert np.array_equal(h, normal_matrix(prob, second))
+    ref = stacked_dense_reference(prob, second)
     assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -8,7 +8,7 @@ equivalences, and solution extraction.
 import numpy as np
 import pytest
 
-from drcvar.conic import _Group, solve_sdp
+from drcvar.conic import solve_sdp
 from drcvar.model import (
     AffineEstimator,
     EmpiricalDistribution,
@@ -165,15 +165,18 @@ class TestRoundTrip:
         nonneg, atom = prob.stacks
         assert nonneg.slot is None and atom.slot is not None
         assert not np.any(atom.var < nm + n)
-        member, var, p, q, v = atom.slot.entries()
-        for i in range(big_n):
-            ref = np.array(sorted(expected[i]))
-            lower = (member == i) & (p >= q)
-            built = np.column_stack([var, p, q, v])[lower]
-            assert np.array_equal(built, ref)
-            upper = (member == i) & (p < q)
-            mirrored = np.column_stack([var, q, p, v])[upper]
-            assert np.array_equal(mirrored, ref[ref[:, 1] != ref[:, 2]])
+        assert atom.slot.num_vars == nm + n
+        # the dense Mk of every slot variable: exactly these entries in each
+        # member's lower triangle, their mirrors above it, and nothing else
+        for k, e_k in enumerate(np.eye(prob.num_vars)[:nm + n]):
+            ref = np.zeros_like(atom.m0)
+            for i in range(big_n):
+                for var, p, q, val in expected[i]:
+                    if var == k:
+                        assert p > q
+                        ref[i, p, q] = ref[i, q, p] = val
+            assert np.array_equal(atom.linear(e_k), ref)
+            assert np.array_equal(atom.evaluate(e_k), atom.m0 + ref)
 
     def test_slot_owns_its_variables(self):
         def stack(var, p, q, rows=(1,), cols=np.ones((1, 2, 1))):
@@ -184,6 +187,12 @@ class TestRoundTrip:
 
         with pytest.raises(ValueError, match="slot variables"):
             stack(0, 1, 0)
+        # slot rows that are not one ascending contiguous range of integers:
+        # descending, repeated, with a gap, empty, 2-D or not integers
+        for rows in [(1, 0), (1, 1), (0, 0), (0, 2), (), ((0, 1),),
+                     (0.0, 1.0)]:
+            with pytest.raises(ValueError, match="contiguous range"):
+                stack(1, 1, 1, rows, np.ones((1, 2, 2)))
         # a slot row outside the block, and cols not (count, size, w)
         for rows, cols in [((2,), np.ones((1, 2, 1))),
                            ((1,), np.ones((2, 1))),
@@ -196,27 +205,65 @@ class TestRoundTrip:
         assert np.array_equal(st.evaluate(np.array([1.0, 0.0]))[0],
                               np.array([[0.0, 1.0], [1.0, 2.0]]))
 
-    @pytest.mark.parametrize("kind", ["dr_cvar", "nominal_cvar", "alpha_one"])
+    def test_slot_map_matches_definition(self):
+        # a slot whose C has nonzeros inside the rows R and zero rows at both
+        # ends, against M = e_{R_u} c' + c e_{R_u}' written out densely
+        rng = np.random.default_rng(SEED + 13)
+        count, size, n, w, offset = 3, 7, 3, 2, 1
+        rows = np.arange(2, 2 + n)
+        cols = rng.standard_normal((count, size, w))
+        cols[:, [0, size - 1], :] = 0.0
+        member = np.repeat(np.arange(count), 2)
+        var = np.tile([0, offset + n * w], count)
+        p = np.tile([0, 6], count)
+        q = np.tile([0, 1], count)
+        v = rng.standard_normal(2 * count)
+        st = LmiStack("s", np.zeros((count, size, size)), member, var, p, q,
+                      v, MatrixSlot(offset=offset, rows=rows, cols=cols))
+        k_total = offset + n * w + 1
+        mats = np.zeros((k_total, count, size, size))
+        mats[var, member, p, q] += v
+        for u in range(n):
+            for c in range(w):
+                e_r = np.eye(size)[rows[u]]
+                for i in range(count):
+                    col = cols[i, :, c]
+                    mats[offset + c * n + u, i] = (np.outer(e_r, col)
+                                                   + np.outer(col, e_r))
+        x = rng.standard_normal(k_total)
+        z = rng.standard_normal((count, size, size))
+        mapped = np.einsum("k,kisr->isr", x, mats)
+        dense = np.einsum("kisr,isr->k", mats, z)
+        assert np.max(np.abs(st.linear(x) - mapped)) \
+            <= 1e-12 * np.max(np.abs(mapped))
+        assert np.max(np.abs(st.adjoint(z, k_total) - dense)) \
+            <= 1e-12 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("kind", ["dr_cvar", "nominal_cvar", "alpha_one",
+                                      "day_ahead"])
     def test_solver_maps_match_evaluate(self, kind):
-        # the solver's scatter and gather over a stack against the dense
-        # matrices from evaluate: M_k at the unit vector e_k, minus M0
+        # the stack's linear map and adjoint against the dense matrices from
+        # evaluate: M_k at the unit vector e_k, minus M0
         rng = np.random.default_rng(SEED + 11)
         alpha = 1.0 if kind == "alpha_one" else 0.3
         radius = 0.0 if kind == "nominal_cvar" else 0.7
-        dist, prob = small_problem(n=3, m=2, big_n=4, alpha=alpha,
+        n, m, big_n = (24, 24, 3) if kind == "day_ahead" else (3, 2, 4)
+        dist, prob = small_problem(n=n, m=m, big_n=big_n, alpha=alpha,
                                    radius=radius, seed=SEED + 12)
         k_total = prob.num_vars
         x = rng.standard_normal(k_total)
         for st in prob.stacks:
-            group = _Group(st)
-            evaluated = st.evaluate(x)
-            assert np.max(np.abs(group.apply(x) + st.m0 - evaluated)) \
-                <= 1e-12 * np.max(np.abs(evaluated))
             base = rng.standard_normal((st.count, st.size, st.size))
             z = base + base.transpose(0, 2, 1)
-            dense = np.array([np.sum((st.evaluate(e_k) - st.m0) * z)
-                              for e_k in np.eye(k_total)])
-            assert np.max(np.abs(group.inner_all(z, k_total) - dense)) \
+            mapped = np.zeros_like(st.m0)
+            dense = np.empty(k_total)
+            for k, e_k in enumerate(np.eye(k_total)):
+                m_k = st.evaluate(e_k) - st.m0
+                mapped += x[k] * m_k
+                dense[k] = np.sum(m_k * z)
+            assert np.max(np.abs(st.linear(x) - mapped)) \
+                <= 1e-12 * np.max(np.abs(mapped))
+            assert np.max(np.abs(st.adjoint(z, k_total) - dense)) \
                 <= 1e-12 * np.max(np.abs(dense))
 
     def test_objective_vector(self):
