@@ -5,7 +5,9 @@ Solves the CVaR SDP at N = 6 and prints one line per solve: profile,
 data, seed, method, alpha, radius, status, iterations, the objective's
 ``repr`` and the sha256 of the returned x.  Then one
 ``iterations PROFILE SUM`` line per profile gives the summed iteration
-count, and the last line is the sha256 over the per-solve lines (the sums
+count, followed by one ``iterations PROFILE radius R SUM`` line per radius
+(R as in the per-solve lines), so a change in the sums shows where it
+happened.  The last line is the sha256 over the per-solve lines (the sums
 are not hashed).  Two checkouts whose solver iterates agree bit for bit
 print the same digest, so a solver change that must not move the iterates
 can show that it did not.
@@ -62,9 +64,11 @@ def problems(dist):
 def main():
     total = hashlib.sha256()
     iterations = {}
+    by_radius = {}
     for profile in ("strict", "fast"):
         settings = default_solver_settings(profile)
         iterations[profile] = 0
+        by_radius[profile] = {}
         for seed in SEEDS:
             for label, dist in datasets(seed):
                 for method, alpha, radius, problem in problems(dist):
@@ -77,8 +81,12 @@ def main():
                     print(line, flush=True)
                     total.update(line.encode() + b"\n")
                     iterations[profile] += sol.iterations
+                    by_radius[profile][radius] = (
+                        by_radius[profile].get(radius, 0) + sol.iterations)
     for profile, count in iterations.items():
         print(f"iterations {profile} {count}")
+        for radius, sub in sorted(by_radius[profile].items()):
+            print(f"iterations {profile} radius {radius!r} {sub}")
     print(f"digest {total.hexdigest()}")
 
 

@@ -164,8 +164,10 @@ def _read_fit_result(path):
 
     A document of another kind, one without the estimator or the
     normalization, or one whose estimator is not 24x24 or whose
-    normalization vectors are not of length 48 or hold an entry that is
-    not a finite number (``null``, ``NaN``, ``Infinity``), is a DataError.
+    normalization vectors are not of length 48, hold an entry that is not
+    a finite number (``null``, ``NaN``, ``Infinity``) or have a maximum
+    below its minimum, is a DataError.  A maximum equal to its minimum is
+    a constant training coordinate and is kept.
     """
     with open(path) as fh:
         fit_doc = json.load(fh)
@@ -191,6 +193,10 @@ def _read_fit_result(path):
         raise DataError(f"{path}: normalization vectors must have length 48")
     if not np.isfinite([scaler.minimum, scaler.maximum]).all():
         raise DataError(f"{path}: normalization vectors must be finite")
+    swapped = np.flatnonzero(scaler.maximum < scaler.minimum)
+    if swapped.size:
+        raise DataError(f"{path}: normalization maximum below minimum at "
+                        f"indices {swapped.tolist()}")
     return est, scaler
 
 

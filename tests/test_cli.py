@@ -90,7 +90,8 @@ class TestFitEval:
 
     @pytest.mark.parametrize("drop", [
         "all", "estimator.A", "estimator.b", "normalization.minimum",
-        "normalization.maximum", "estimator-2x2", "normalization-length-2"])
+        "normalization.maximum", "estimator-2x2", "normalization-length-2",
+        "max-below-min"])
     def test_eval_rejects_malformed_fit_result(self, capsys, synth_csv,
                                                tmp_path, drop):
         fit_path = tmp_path / "fit.json"
@@ -105,6 +106,10 @@ class TestFitEval:
         elif drop == "normalization-length-2":
             fit_doc["normalization"] = {"minimum": [0.0, 0.0],
                                         "maximum": [1.0, 1.0]}
+        elif drop == "max-below-min":
+            norm = fit_doc["normalization"]
+            norm["minimum"][30], norm["maximum"][30] = (
+                norm["maximum"][30], norm["minimum"][30])
         else:
             section, key = drop.split(".")
             del fit_doc[section][key]
@@ -134,6 +139,23 @@ class TestFitEval:
         ])
         assert code == doc["exit_code"] == EXIT_DATA
         assert "finite" in doc["error"]
+
+    def test_eval_keeps_constant_normalization_coordinate(self, capsys,
+                                                          synth_csv, tmp_path):
+        # maximum == minimum is a constant training coordinate, not an error
+        fit_path = tmp_path / "fit.json"
+        run_cli(capsys, ["fit", "--data", str(synth_csv),
+                         "--method", "nominal_mse", "--out", str(fit_path)])
+        fit_doc = json.loads(fit_path.read_text())
+        norm = fit_doc["normalization"]
+        norm["maximum"][30] = norm["minimum"][30]
+        fit_path.write_text(json.dumps(fit_doc))
+        code, doc = run_cli(capsys, [
+            "eval", "--data", str(synth_csv), "--estimator", str(fit_path),
+            "--alpha", "0.5",
+        ])
+        assert code == EXIT_OK
+        assert doc["kind"] == "eval_metrics"
 
 
 class TestCheckDual:

@@ -12,6 +12,7 @@ import scipy.linalg
 
 from drcvar import conic
 from drcvar.conic import SdpSolution, SolverSettings, certify, solve_sdp
+from drcvar.data import SpikyConfig, split_and_normalize, synth_spiky
 from drcvar.model import EmpiricalDistribution, RiskSpec
 from drcvar.sdp import LmiStack, SdpProblem, build_drcvar_sdp
 
@@ -288,3 +289,17 @@ class TestSettings:
                                              max_iter=100))
         assert sol.status == "optimal"
         assert abs(sol.objective_value - opt) <= 1e-4 * (1.0 + abs(opt))
+
+
+def test_steps_near_the_boundary_do_not_cost_iterations():
+    # solve_digest.py's `strict plain 1 dr_cvar 0.1 0.01` problem.  A
+    # corrector step taken at 0.999 of the way to the boundary leaves the
+    # next dual step blocked at 0.04-0.13; taking such steps whenever the
+    # gap is small costs this solve 21 iterations, against 14 with the
+    # fraction set from the previous step length
+    ds = synth_spiky(SpikyConfig(days=7), 1)
+    train, _, _ = split_and_normalize(ds, ds.dates[6])
+    problem = build_drcvar_sdp(train, RiskSpec(alpha=0.1, radius=0.01))
+    sol = solve_sdp(problem)
+    assert sol.status == "optimal"
+    assert sol.iterations <= 16
