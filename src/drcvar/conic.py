@@ -185,6 +185,23 @@ def _cholesky_floored(stack):
         return np.linalg.cholesky(repaired), repaired
 
 
+def _residuals(problem: SdpProblem, x, s_st, z_st, norm_m0, norm_c):
+    """(r_p, r_d, A'(Z), <S, Z>, pinf, dinf) at a primal/dual point.
+
+    r_p = (S - M0) - A(x) per stack and r_d = c - A'(Z); pinf and dinf are
+    their norms over 1 + ||M0|| and 1 + ||c||.  The stopping test and
+    :func:`certify` both read them, so they agree bit for bit.
+    """
+    r_p = [s - st.m0 - st.linear(x) for s, st in zip(s_st, problem.stacks)]
+    atz = sum(st.adjoint(z, problem.num_vars)
+              for z, st in zip(z_st, problem.stacks))
+    r_d = problem.objective - atz
+    gap = sum(float(np.sum(s * z)) for s, z in zip(s_st, z_st))
+    pinf = math.sqrt(sum(float(np.sum(r**2)) for r in r_p)) / (1.0 + norm_m0)
+    dinf = float(np.linalg.norm(r_d)) / (1.0 + norm_c)
+    return r_p, r_d, atz, gap, pinf, dinf
+
+
 def certify(problem: SdpProblem, x: np.ndarray, slack_blocks, dual_blocks):
     """Recompute gap and scaled residuals for a candidate primal/dual pair.
 
@@ -192,18 +209,11 @@ def certify(problem: SdpProblem, x: np.ndarray, slack_blocks, dual_blocks):
     stack of the problem.  Used both by the solver post-solve and by tests
     that verify the reported numbers independently.
     """
-    norm_m0 = math.sqrt(sum(float(np.sum(st.m0 ** 2))
-                            for st in problem.stacks))
+    norm_m0 = math.sqrt(sum(float(np.sum(st.m0**2)) for st in problem.stacks))
     norm_c = float(np.linalg.norm(problem.objective))
-    gap = 0.0
-    pres = 0.0
-    atz = np.zeros(problem.num_vars)
-    for st, s_mat, z_mat in zip(problem.stacks, slack_blocks, dual_blocks):
-        pres += float(np.sum((s_mat - st.evaluate(x)) ** 2))
-        gap += float(np.sum(s_mat * z_mat))
-        atz += st.adjoint(z_mat, problem.num_vars)
-    dres = float(np.linalg.norm(problem.objective - atz))
-    return gap, math.sqrt(pres) / (1.0 + norm_m0), dres / (1.0 + norm_c)
+    _, _, _, gap, pinf, dinf = _residuals(problem, x, slack_blocks,
+                                          dual_blocks, norm_m0, norm_c)
+    return gap, pinf, dinf
 
 
 def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> SdpSolution:
@@ -218,7 +228,7 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
         settings = SolverSettings()
 
     k_total = problem.num_vars
-    c = np.asarray(problem.objective, dtype=float)
+    c = problem.objective
     stacks = problem.stacks
     dim = sum(st.size * st.count for st in stacks)
 
@@ -241,13 +251,7 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
     h_fact = np.zeros((k_total, k_total), order="F")
     jac = np.empty(k_total)
 
-    best = None  # (merit, x, S stacks, Z stacks, iteration)
-
-    def snapshot(merit, it):
-        nonlocal best
-        if best is None or merit < best[0]:
-            best = (merit, x.copy(), [s.copy() for s in s_st],
-                    [z.copy() for z in z_st], it)
+    best = None  # (merit, x, S stacks, Z stacks)
 
     def finish(status, it, xs=None, ss=None, zs=None):
         xs = x if xs is None else xs
@@ -262,25 +266,17 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
         )
 
     def fail(status, it):
-        if best is not None:
-            return finish(status, it, best[1], best[2], best[3])
-        return finish(status, it)
+        return finish(status, it, *(best[1:] if best else ()))
 
     stall_count = 0
     alpha = 1.0  # the previous iteration's step length
     for it in range(settings.max_iter):
-        r_p = [s - st.m0 - st.linear(x) for s, st in zip(s_st, stacks)]
-        atz = sum(st.adjoint(z, k_total) for z, st in zip(z_st, stacks))
-        r_d = c - atz
-
-        gap = sum(float(np.sum(s_st[gi_] * z_st[gi_]))
-                  for gi_ in range(len(stacks)))
+        r_p, r_d, atz, gap, pinf, dinf = _residuals(problem, x, s_st, z_st,
+                                                    norm_m0, norm_c)
         mu = gap / dim
         pobj = float(c @ x)
         dobj = -sum(float(np.sum(st.m0 * z_st[gi_]))
                     for gi_, st in enumerate(stacks))
-        pinf = math.sqrt(sum(float(np.sum(r**2)) for r in r_p)) / (1.0 + norm_m0)
-        dinf = float(np.linalg.norm(r_d)) / (1.0 + norm_c)
         obj_scale = max(1.0, 0.5 * (abs(pobj) + abs(dobj)))
         relgap = gap / obj_scale
         objgap = abs(pobj - dobj) / obj_scale
@@ -292,8 +288,10 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
                 and pinf <= settings.tol_feas and dinf <= settings.tol_feas:
             return finish("optimal", it)
 
-        if finite:
-            snapshot(max(relgap, objgap, pinf, dinf), it)
+        merit = max(relgap, objgap, pinf, dinf)
+        if finite and (best is None or merit < best[0]):
+            best = (merit, x.copy(), [s.copy() for s in s_st],
+                    [z.copy() for z in z_st])
 
         # Farkas-style certificates from diverging iterates.
         znorm = math.sqrt(sum(float(np.sum(z**2)) for z in z_st))
@@ -360,6 +358,9 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
             return sla.cho_solve((factor, True), vec / jac,
                                  check_finite=False) / jac
 
+        # W^-1 R_p W^-1, the primal residual's part of both right-hand sides
+        wrw = [u @ r @ u for u, r in zip(u_w, r_p)]
+
         def step(rtc, frac):
             # direction for the scaled complementarity target rtc, and the
             # primal and dual step lengths: frac times the longest step that
@@ -368,7 +369,7 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
             rhs = -r_d
             for gi_, st in enumerate(stacks):
                 t_st = g_inv_t[gi_] @ rtc[gi_] @ g_inv[gi_]
-                t_st += u_w[gi_] @ r_p[gi_] @ u_w[gi_]
+                t_st += wrw[gi_]
                 rhs += st.adjoint(t_st, k_total)
             dx = solve_eq(rhs)
             # iterative refinement; the normal matrix gets ill-conditioned

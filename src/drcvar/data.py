@@ -397,15 +397,11 @@ def radius_sweep(train: EmpiricalDistribution, test: EmpiricalDistribution,
         raise ValueError("radii must be sorted ascending")
 
     tasks = [(r, method) for r in radii for method in ("dr_cvar", "dr_mse")]
-    if threads <= 1:
-        rows = [_sweep_task(train, test, alpha, r, method, settings, scaler)
-                for r, method in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_sweep_task, train, test, alpha, r, method,
-                                   settings, scaler)
-                       for r, method in tasks]
-            rows = [f.result() for f in futures]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(_sweep_task, train, test, alpha, r, method,
+                               settings, scaler)
+                   for r, method in tasks]
+        rows = [f.result() for f in futures]
     return SweepReport(alpha=alpha, rows=tuple(rows))
 
 

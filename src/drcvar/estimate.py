@@ -67,7 +67,9 @@ class FitResult:
     for the robust methods, and |conic value - empirical risk recompute| for
     nominal_cvar; both are enforced to at most
     ``CROSS_CHECK_TOL * (1 + |value|)``.  nominal_mse sets it to zero.
-    gamma/tau are NaN where the method has no such variable.
+    gamma/tau are NaN where the method has no such variable.  At alpha = 1
+    every tau at or below the smallest transformed loss is optimal, and tau
+    is the one the solver stopped at.
     boundary_gamma flags fits whose optimal gamma sits against the spectral
     lower boundary, where the infimum is approached rather than attained.
     certificate is the dual result checked against (None at radius 0).

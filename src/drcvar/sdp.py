@@ -16,8 +16,8 @@ adjoint.
 
 The robust CVaR estimation problem for an empirical distribution with atoms
 z_i = (x_i, y_i) has two stacks: ``nonneg``, the 1x1 nonnegativity blocks of
-the epigraph slacks s_1..s_N and, at alpha = 1, of tau; then ``atom``, the N
-per-atom blocks of size (1+d+n).  The decision vector is
+the epigraph slacks s_1..s_N; then ``atom``, the N per-atom blocks of size
+(1+d+n).  The decision vector is
 
     x = [vec(A) column-major, b, gamma, tau, s_1..s_N].
 
@@ -242,9 +242,14 @@ def build_drcvar_sdp(dist: EmpiricalDistribution, spec: RiskSpec) -> SdpProblem:
     spec : RiskSpec
         Tail level alpha and transport radius.  Radius zero builds the
         nominal program: no gamma variable and atom blocks of size 1 + n
-        (see the module docstring).
+        (see the module docstring).  Alpha enters the objective only, as
+        does a positive radius, so the constraints are the same at every
+        alpha and every positive radius.
     """
     n, m = dist.n, dist.m
+    if n < 1:
+        raise ValueError(f"n = {n}: the CVaR SDP needs at least one "
+                         "estimated coordinate")
     atoms = dist.atoms
     big_n = dist.size
     nm = n * m
@@ -264,18 +269,10 @@ def build_drcvar_sdp(dist: EmpiricalDistribution, spec: RiskSpec) -> SdpProblem:
     c[i_s0:] = 1.0 / (spec.alpha * big_n)
 
     # Nonnegativity of the epigraph slacks, one 1x1 block each.
-    bounded = i_s0 + np.arange(big_n)
-    if spec.alpha == 1.0:
-        # at alpha = 1 the objective is invariant along tau -> -inf with
-        # s_i = raw_i - tau, an unbounded optimal ray that stalls the
-        # interior-point iterates in cancellation.  The per-atom transform
-        # of the (nonnegative) squared loss is itself nonnegative, so
-        # tau >= 0 never cuts the optimum; it bounds the degenerate face.
-        bounded = np.append(bounded, i_tau)
-    corner = np.zeros(bounded.shape[0], dtype=np.int64)
-    nonneg = LmiStack("nonneg", np.zeros((bounded.shape[0], 1, 1)),
-                      np.arange(bounded.shape[0]), bounded, corner, corner,
-                      np.ones(bounded.shape[0]))
+    corner = np.zeros(big_n, dtype=np.int64)
+    nonneg = LmiStack("nonneg", np.zeros((big_n, 1, 1)), np.arange(big_n),
+                      i_s0 + np.arange(big_n), corner, corner,
+                      np.ones(big_n))
 
     # Per-atom epigraph blocks, size 1 + d + n, in displacement coordinates
     # (see the module docstring); e_i = x_i - A y_i - b fills column 0.

@@ -252,6 +252,18 @@ class TestSettingsAndErrors:
         assert info.value.status == "max_iter"
 
     @pytest.mark.parametrize("path", ["robust", "nominal"])
+    def test_no_estimated_coordinate_rejected(self, path):
+        # n = 0 leaves the SDP no estimator rows; the builder names n
+        rng = np.random.default_rng(SEED + 15)
+        dist = EmpiricalDistribution(atoms=rng.standard_normal((5, 2)), n=0,
+                                     m=2)
+        with pytest.raises(ValueError, match="n = 0"):
+            if path == "robust":
+                fit_dr_cvar(dist, RiskSpec(alpha=0.5, radius=0.5))
+            else:
+                fit_nominal_cvar(dist, 0.5)
+
+    @pytest.mark.parametrize("path", ["robust", "nominal"])
     def test_cross_check_bound_enforced(self, monkeypatch, path):
         # an optimal solve whose value its cross-check (the dual path, or
         # the empirical CVaR at radius zero) does not reproduce is a defect,

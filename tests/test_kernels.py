@@ -148,10 +148,10 @@ def normal_matrix(prob, u_w):
 @pytest.mark.parametrize("kind", ["dr_cvar", "dr_mse", "nominal_cvar"])
 def test_structured_assembly_matches_pairwise(kind):
     prob = problem(kind, n=4, m=3, big_n=5, seed=7)
-    if kind == "dr_mse":
-        nonneg = prob.stacks[0]
-        assert nonneg.count == prob.meta["N"] + 1
-        assert nonneg.var[-1] == prob.layout_slice("tau").start
+    nonneg = prob.stacks[0]
+    assert nonneg.count == prob.meta["N"]
+    s_vars = prob.layout_slice("s")
+    assert np.array_equal(nonneg.var, np.arange(s_vars.start, s_vars.stop))
     assert any(st.slot is not None for st in prob.stacks)
     u_w = random_scalings(np.random.default_rng(11), prob.stacks)
     h = normal_matrix(prob, u_w)

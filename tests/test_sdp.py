@@ -80,6 +80,32 @@ class TestCounting:
         assert prob.meta["kind"] == "nominal_cvar"
 
 
+class TestAlphaIndependence:
+    @pytest.mark.parametrize("radius", [0.7, 0.0])
+    def test_alpha_enters_the_objective_only(self, radius):
+        # alpha = 1 adds no bound on tau: the stacks are those of alpha =
+        # 0.1, and only the gamma and s coefficients of c move
+        dist, low = small_problem(n=2, m=3, big_n=4, alpha=0.1, radius=radius)
+        high = build_drcvar_sdp(dist, RiskSpec(alpha=1.0, radius=radius))
+        assert low.var_layout == high.var_layout
+        assert len(low.stacks) == len(high.stacks)
+        for a, b in zip(low.stacks, high.stacks):
+            assert a.name == b.name
+            assert np.array_equal(a.m0, b.m0)
+            for entries in ("member", "var", "p", "q", "v"):
+                assert np.array_equal(getattr(a, entries), getattr(b, entries))
+            assert (a.slot is None) == (b.slot is None)
+            if a.slot is not None:
+                assert a.slot.offset == b.slot.offset
+                assert np.array_equal(a.slot.rows, b.slot.rows)
+                assert np.array_equal(a.slot.cols, b.slot.cols)
+        moved = set(np.flatnonzero(low.objective != high.objective))
+        expected = set(range(*low.var_layout["s"]))
+        if radius > 0.0:
+            expected.add(low.var_layout["gamma"][0])
+        assert moved == expected
+
+
 class TestFrozenEntries:
     def test_atom_block_at_origin(self):
         dist = EmpiricalDistribution(atoms=np.zeros((1, 2)), n=1, m=1)
