@@ -144,6 +144,9 @@ def _cmd_fit(args) -> int:
     spec = _risk_spec(args.alpha, args.radius)
     settings = _settings()
     train, _, scaler = _prepare(args)
+    # report what is solved: the MSE fits at alpha = 1, nominal ones at r = 0
+    alpha = args.alpha if args.method.endswith("_cvar") else 1.0
+    radius = args.radius if args.method.startswith("dr_") else 0.0
     if args.method == "dr_cvar":
         fit = fit_dr_cvar(train, spec, settings=settings)
     elif args.method == "dr_mse":
@@ -155,7 +158,7 @@ def _cmd_fit(args) -> int:
     info = {"path": args.data, "train_days": train.size}
     if args.split_date:
         info["split_date"] = args.split_date
-    _emit(_fit_doc(fit, args.alpha, args.radius, scaler, info), args.out)
+    _emit(_fit_doc(fit, alpha, radius, scaler, info), args.out)
     return EXIT_OK
 
 

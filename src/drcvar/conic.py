@@ -40,9 +40,8 @@ hundred variables and blocks below ~100x100.
 SciPy is loaded at the first solve, not when this module is imported:
 ``solve_sdp`` imports ``scipy.linalg`` for ``cho_factor`` and
 ``cho_solve`` (NumPy has no triangular solve), as does the ``gesvd``
-retry, and the pair index arrays import ``scipy.sparse``.  A process that
-never solves (``import drcvar``, ``drcvar gen-data``, ``drcvar eval``, a
-least-squares fit) never imports SciPy.
+retry.  A process that never solves (``import drcvar``, ``drcvar
+gen-data``, ``drcvar eval``, a least-squares fit) never imports SciPy.
 
 Status classification
 ---------------------
@@ -128,10 +127,8 @@ def _normal_matrix(stacks, u_w, h_mat):
     """
     h_mat.fill(0.0)
     for st, u in zip(stacks, u_w):
-        slot = () if st.slot is None else (st.slot.rows, st.slot.cols,
-                                           st.slot.offset)
         schur_accumulate(h_mat, u, st.member, st.var, st.p, st.q, st.v,
-                         st.pairs, *slot)
+                         st.pairs, st.slot)
 
 
 def _equilibrate_lower(h_mat, jac, out):

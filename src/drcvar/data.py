@@ -115,9 +115,7 @@ class MinMaxScaler:
         rows = np.asarray(rows, dtype=float)
         span = np.where(self.degenerate, 1.0, self.span)
         out = (rows - self.minimum) / span
-        if rows.ndim == 1:
-            return np.where(self.degenerate, 0.5, out)
-        return np.where(self.degenerate[None, :], 0.5, out)
+        return np.where(self.degenerate, 0.5, out)
 
     def inverse_transform(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)

@@ -9,19 +9,18 @@ triangles.
 
 Contract
 --------
-``schur_accumulate(H, U, member, var, p, q, v, index, rows=None,
-cols=None, offset=0)`` takes the (count, s, s) stack U of the blocks'
-scaling matrices, the stack's entries outside the slot, their pair index
-arrays ``index`` and the stack's slot (``rows``, ``cols``, ``offset``;
-none when ``rows`` is None).  Entry e puts v_e at (p_e, q_e) of the
-constraint matrix of variable var_e in block member_e; the entries cover
-both triangles (an off-diagonal nonzero appears once per triangle) and are
-sorted by ``member``, as the stack holds them.  The index arrays
-(:func:`pair_index`) depend only on the entries, so they are built once
-per stack (:attr:`drcvar.sdp.LmiStack.pairs`, at the stack's first solve)
-and passed on every call.  ``pair_index`` imports
-``scipy.sparse`` when it is called, at the first solve, so importing this
-module loads no SciPy.
+``schur_accumulate(H, U, member, var, p, q, v, index, slot=None)`` takes
+the (count, s, s) stack U of the blocks' scaling matrices, the stack's
+entries outside the slot, their pair index arrays ``index`` and the
+stack's :class:`drcvar.sdp.MatrixSlot` (none when ``slot`` is None).  Entry
+e puts v_e at (p_e, q_e) of the constraint matrix of variable var_e in
+block member_e; the entries cover both triangles (an off-diagonal nonzero
+appears once per triangle) and are sorted by ``member``, as the stack holds
+them.  The index arrays (:func:`pair_index`) depend only on the entries, so
+they are built once per stack (:attr:`drcvar.sdp.LmiStack.pairs`, at the
+stack's first solve) and passed on every call.  The slot is read through
+``slot.layout`` (R, the nonzero rows S of C, C_S), as the stack's own map
+and adjoint read it, so U C = U[:, S] C_S.  Nothing here imports SciPy.
 
 Other x other: every ordered pair (a, b) of entries of the same block i adds
 
@@ -31,10 +30,10 @@ The pairs are formed explicitly, so the index arrays take memory of the
 order of sum_i t_i^2 for t_i entries of block i outside the slot (about 50
 per atom block of the robust SDP).
 
-Slot x slot: X[u, v], variable ``offset + v*n + u`` with n = len(rows),
-enters block i as a_u c_v' + c_v a_u' with a_u = e_{R_u} for the row set
-R = ``rows`` shared by the stack and c_v column v of the block's own
-C_i = ``cols[i]``.  With U_RR = R'UR, U_CC = C'UC and U_RC = R'UC per block,
+Slot x slot: X[u, v], variable ``slot.offset + v*n + u`` with n = |R|,
+enters block i as a_u c_v' + c_v a_u' with a_u = e_{R_u} for the row range
+R shared by the stack and c_v column v of the block's own C_i =
+``slot.cols[i]``.  With U_RR = R'UR, U_CC = C'UC and U_RC = R'UC per block,
 
     H[(u,v), (u',v')] = 2 sum_i (U_RR[u,u'] U_CC[v,v'] + U_RC[u,v'] U_RC[u',v]),
 
@@ -50,7 +49,10 @@ whole block through memory twice per stack.
 
 Slot x other: for a variable k outside the slot, over its entries e,
 
-    H[(u,v), k] = 2 sum_e v_e U_i[R_u, p_e] (U_i C_i)[q_e, v].
+    H[(u,v), k] = 2 sum_{e in k} v_e (U_i C_i)[q_e, v] U_i[R_u, p_e],
+
+one (w, n) GEMM per variable whose inner dimension is that variable's own
+entries (``index.order`` and ``index.bounds``), laid out as vec(X).
 """
 from typing import NamedTuple
 
@@ -60,14 +62,15 @@ __all__ = ["PairIndex", "pair_index", "schur_accumulate"]
 
 
 class PairIndex(NamedTuple):
-    """Index arrays of one stack's entry pairs; see :func:`pair_index`."""
+    """Index arrays of one stack's entries; see :func:`pair_index`."""
 
     present: np.ndarray
     key: np.ndarray
     at_p: np.ndarray
     at_q: np.ndarray
     weight: np.ndarray
-    scatter: "scipy.sparse.csr_matrix"
+    order: np.ndarray
+    bounds: np.ndarray
 
 
 def pair_index(member, var, p, q, v, count, size):
@@ -78,11 +81,10 @@ def pair_index(member, var, p, q, v, count, size):
     (a, b) of entries of one block gets its flat position ``key`` in the
     present x present block, the flat positions ``at_p``, ``at_q`` of
     U_i[p_a, p_b] and U_i[q_a, q_b] in the (count, size, size) stack, and
-    ``weight`` v_a v_b.  ``scatter`` is the (present, entries) matrix of
-    2 v_e that sums the slot x other rows per variable.
+    ``weight`` v_a v_b.  ``order`` sorts the entries by variable, stably,
+    so the entries of ``present[j]`` are ``order[bounds[j]:bounds[j+1]]``;
+    the slot x other rows are summed per variable over them.
     """
-    import scipy.sparse as sp
-
     t = member.shape[0]
     present, local = np.unique(var, return_inverse=True)
     k = present.shape[0]
@@ -99,45 +101,43 @@ def pair_index(member, var, p, q, v, count, size):
     return PairIndex(
         present=present, key=local[a] * k + local[b],
         at_p=base + p[a] * size + p[b], at_q=base + q[a] * size + q[b],
-        weight=v[a] * v[b],
-        scatter=sp.csr_matrix((2.0 * v, (local, np.arange(t))), shape=(k, t)))
+        weight=v[a] * v[b], order=np.argsort(var, kind="stable"),
+        bounds=np.append(0, np.cumsum(np.bincount(local, minlength=k))))
 
 
-def schur_accumulate(H, U, member, var, p, q, v, index, rows=None,
-                     cols=None, offset=0):
+def schur_accumulate(H, U, member, var, p, q, v, index, slot=None):
     """Add one stack's contribution to H (K x K), in both triangles.
 
-    ``index`` is the stack's :func:`pair_index`.  See the module docstring
-    for the contract.
+    ``index`` is the stack's :func:`pair_index`, ``slot`` its ``MatrixSlot``.
+    See the module docstring for the contract.
     """
     count = U.shape[0]
-    t = member.shape[0]
-    if t > 0:
-        k = index.present.shape[0]
-        flat = U.reshape(-1)
-        pair = index.weight * np.take(flat, index.at_p)
-        pair *= np.take(flat, index.at_q)
-        small = np.bincount(index.key, weights=pair, minlength=k * k)
-        H[np.ix_(index.present, index.present)] += small.reshape(k, k)
-    if rows is None:
+    k = index.present.shape[0]
+    flat = U.reshape(-1)
+    pair = index.weight * np.take(flat, index.at_p)
+    pair *= np.take(flat, index.at_q)
+    small = np.bincount(index.key, weights=pair, minlength=k * k)
+    H[np.ix_(index.present, index.present)] += small.reshape(k, k)
+    if slot is None:
         return
 
-    w = cols.shape[2]
-    n = rows.shape[0]
+    n, w = slot.rows.shape[0], slot.cols.shape[2]
+    r, span, cols = slot.layout
     n_x = n * w
-    slot = slice(offset, offset + n_x)
-    uc = U @ cols
-    u_rr = U[:, rows[:, None], rows[None, :]].reshape(count, n * n)
-    u_cc2 = 2.0 * (cols.transpose(0, 2, 1) @ uc)
+    x_vars = slice(slot.offset, slot.offset + n_x)
+    cols = cols.reshape(count, -1, w)
+    uc = U[:, :, span] @ cols
+    u_rr = U[:, r, r].reshape(count, n * n)
+    u_cc2 = 2.0 * (cols.transpose(0, 2, 1) @ uc[:, span, :])
     # u_cr[i, (c, u)] = U_RC,i[u, c]
-    u_cr = uc[:, rows, :].transpose(0, 2, 1).reshape(count, n_x)
+    u_cr = uc[:, r, :].transpose(0, 2, 1).reshape(count, n_x)
     u_cr2 = 2.0 * u_cr
-    # H[slot, slot] seen with axes (c, u, c', u'), written one row block
+    # H[x_vars, x_vars] seen with axes (c, u, c', u'), written one row block
     # (c0:c1, :) at a time: a block of about 2^16 entries (512 KB) keeps its
     # transposed tiles in cache, and a GEMM per block rather than per c
     # keeps the GEMMs wide enough that a deep stack (N = 90) loses nothing
     # against full-size GEMMs
-    h_xx = H[slot, slot].reshape(w, n, w, n)
+    h_xx = H[x_vars, x_vars].reshape(w, n, w, n)
     height = max(1, 2**16 // (w * n * n))
     for c0 in range(0, w, height):
         c1 = min(c0 + height, w)
@@ -148,12 +148,14 @@ def schur_accumulate(H, U, member, var, p, q, v, index, rows=None,
         cross = u_cr2.T @ u_cr[:, c0 * n:c1 * n]
         h_xx[c0:c1] += cross.reshape(w, n, c1 - c0, n).transpose(2, 1, 0, 3)
 
-    if t == 0:
-        return
-    # per entry e: 2 v_e U[R, p_e] (x) (UC)[q_e, :], laid out as vec(X)
-    left = U[member[:, None], rows[None, :], p[:, None]]
-    right = uc[member, q, :]
-    outer = (right[:, :, None] * left[:, None, :]).reshape(-1, n_x)
-    h_ox = index.scatter @ outer
-    H[index.present, slot] += h_ox
-    H[slot, index.present] += h_ox.T
+    # the entries by variable: per entry e the rows (UC)[q_e, :] and
+    # 2 v_e U[R, p_e], and per variable one (w, n) GEMM over its entries
+    o = index.order
+    right = uc[member[o], q[o], :]
+    left = U[member[o], r, p[o]] * (2.0 * v[o])[:, None]
+    h_ox = np.empty((k, w, n))
+    for j, (lo, hi) in enumerate(zip(index.bounds, index.bounds[1:])):
+        np.matmul(right[lo:hi].T, left[lo:hi], out=h_ox[j])
+    h_ox = h_ox.reshape(-1, n_x)
+    H[index.present, x_vars] += h_ox
+    H[x_vars, index.present] += h_ox.T

@@ -113,8 +113,8 @@ class MatrixSlot:
     def layout(self):
         """(R, S, C_S): the rows R and the shortest range S of rows holding
         every nonzero of C, as slices, and C on S as a contiguous
-        (count * len(S), w) array.  The map and its adjoint skip the rows
-        outside S (24 of the 73 rows of a day-ahead atom block)."""
+        (count * len(S), w) array.  The map, adjoint and Schur kernel skip
+        the rows outside S (24 of the 73 rows of a day-ahead atom block)."""
         nonzero = np.flatnonzero(np.any(self.cols != 0.0, axis=(0, 2)))
         span = slice(nonzero[0], nonzero[-1] + 1) if nonzero.size \
             else slice(0, 0)

@@ -100,6 +100,8 @@ def test_scipy_loads_at_the_first_solve_only(tmp_path):
     for name in ("import", "gen-data", "fit nominal_mse", "eval"):
         assert steps[name] == [], name
     assert "scipy.linalg" in steps["fit dr_cvar"]
+    for name, modules in steps.items():
+        assert not [m for m in modules if m.startswith("scipy.sparse")], name
 
 
 def test_concurrent_first_solve_matches_serial():
@@ -135,3 +137,30 @@ def test_benchmark_traces_checks_and_prepares(bench):
     assert drcvar.dual.worst_case_cvar is ref["worst_case_cvar"]
     recorded = {sp[NAME] for sp in tracer.spans}
     assert {"data.synth_spiky", "estimate.fit_nominal_mse"} <= recorded
+
+
+@pytest.mark.parametrize("workload", ["fit_n6", "sweep_n6", "audit_n90"])
+def test_benchmark_round_records_every_required_span(bench, workload,
+                                                     tmp_path):
+    # one traced round through the runner's own workload functions: every
+    # operation passes its checks and every layer the runner requires is
+    # called through the module attribute it wraps
+    from tracer import NAME
+
+    ref = bench.reference_functions(drcvar)
+    tracer = bench.install_tracer(drcvar)
+    run = bench.Run(0.0, tracer)
+    try:
+        if workload == "sweep_n6":
+            bench.sweep_workload(drcvar, 1, run, ref, tmp_path)
+        else:
+            inputs = bench.prepare(drcvar, workload, 1)
+            work = {"fit_n6": bench.fit_workload,
+                    "audit_n90": bench.audit_workload}[workload]
+            work(drcvar, inputs, run, ref)
+    finally:
+        tracer.close()
+    assert run.attempted > 0
+    assert run.failed == 0, run.failures
+    recorded = {sp[NAME] for sp in tracer.spans}
+    assert set(bench.REQUIRED_SPANS[workload]) <= recorded

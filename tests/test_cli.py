@@ -75,6 +75,20 @@ class TestFitEval:
         saved = json.loads(out.read_text())
         assert saved == doc
 
+    @pytest.mark.parametrize("method, alpha, radius", [
+        ("dr_cvar", 0.05, 0.1), ("dr_mse", 1.0, 0.1),
+        ("nominal_cvar", 0.05, 0.0), ("nominal_mse", 1.0, 0.0)])
+    def test_fit_reports_the_program_solved(self, capsys, synth_csv, method,
+                                            alpha, radius):
+        # the MSE fits solve at alpha = 1 and the nominal fits at radius 0,
+        # whatever --alpha and --radius say
+        code, doc = run_cli(capsys, [
+            "fit", "--data", str(synth_csv), "--method", method,
+            "--alpha", "0.05", "--radius", "0.1"])
+        assert code == EXIT_OK
+        assert (doc["method"], doc["alpha"], doc["radius"]) \
+            == (method, alpha, radius)
+
     def test_eval_round_trip(self, capsys, synth_csv, tmp_path):
         fit_path = tmp_path / "fit.json"
         run_cli(capsys, ["fit", "--data", str(synth_csv),

@@ -131,6 +131,7 @@ class TestScaler:
             scaler = MinMaxScaler.fit(rows)
         out = scaler.transform(rows)
         assert np.allclose(out[:, 1], 0.5)
+        assert np.array_equal(scaler.transform(rows[0]), out[0])
 
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(8)

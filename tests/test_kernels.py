@@ -6,7 +6,7 @@ import pytest
 
 from drcvar import conic, kernels
 from drcvar.model import EmpiricalDistribution, RiskSpec
-from drcvar.sdp import build_drcvar_sdp
+from drcvar.sdp import LmiStack, MatrixSlot, SdpProblem, build_drcvar_sdp
 
 
 def random_block(rng, k_total, size, entries):
@@ -19,10 +19,10 @@ def random_block(rng, k_total, size, entries):
     return u, var, p, q, v
 
 
-def accumulate(h, u, member, var, p, q, v, **slot):
+def accumulate(h, u, member, var, p, q, v, slot=None):
     """One kernel call with the stack's pair index built as the solver does."""
     index = kernels.pair_index(member, var, p, q, v, *u.shape[:2])
-    kernels.schur_accumulate(h, u, member, var, p, q, v, index, **slot)
+    kernels.schur_accumulate(h, u, member, var, p, q, v, index, slot)
 
 
 def dense_reference(k_total, u, var, p, q, v):
@@ -91,8 +91,8 @@ def test_slot_block_in_row_blocks_matches_formula():
     cols = rng.standard_normal((count, size, w))
     h = np.zeros((n * w + 2, n * w + 2))
     none = np.zeros(0, dtype=np.int64)
-    accumulate(h, u, none, none, none, none, np.zeros(0), rows=rows,
-               cols=cols, offset=offset)
+    accumulate(h, u, none, none, none, none, np.zeros(0),
+               MatrixSlot(offset=offset, rows=rows, cols=cols))
     uc = u @ cols
     u_rr = u[:, rows][:, :, rows]
     u_cc = cols.transpose(0, 2, 1) @ uc
@@ -162,6 +162,42 @@ def test_structured_assembly_matches_pairwise(kind):
 def test_structured_assembly_matches_dense_reference():
     prob = problem("dr_cvar", n=2, m=2, big_n=3, seed=3)
     u_w = random_scalings(np.random.default_rng(5), prob.stacks)
+    h = normal_matrix(prob, u_w)
+    ref = stacked_dense_reference(prob, u_w)
+    assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_slot_with_off_diagonal_entries_matches_dense_reference():
+    # the built SDPs put only diagonal entries next to a slot; here random
+    # entries in both triangles (p != q) meet it, in a stack whose C_i are
+    # zero on rows 0 and 6, so the kernel reads C on rows 1..5 only
+    rng = np.random.default_rng(29)
+    count, size, n, w = 4, 7, 3, 2
+    cols = np.zeros((count, size, w))
+    cols[:, 1:6] = rng.standard_normal((count, 5, w))
+    slot = MatrixSlot(offset=0, rows=np.arange(2, 2 + n), cols=cols)
+    # variables n*w + j: j = 0 and 4 in every member, j = 1 in members 0
+    # and 2, j = 2 in member 1 only, j = 3 in member 3 only
+    members_of = [range(count), (0, 2), (1,), (3,), range(count)]
+    entries = []
+    for j, members in enumerate(members_of):
+        for i in members:
+            for _ in range(3):
+                a, b = rng.integers(0, size, 2)
+                val = rng.standard_normal()
+                entries.append((i, n * w + j, a, b, val))
+                if a != b:
+                    entries.append((i, n * w + j, b, a, val))
+    member, var, p, q, v = np.array(entries).T
+    order = np.lexsort((var, member))
+    ints = [a[order].astype(np.int64) for a in (member, var, p, q)]
+    assert np.any(ints[2] != ints[3])
+    stack = LmiStack("mixed", np.zeros((count, size, size)), *ints, v[order],
+                     slot)
+    k_total = n * w + len(members_of)
+    prob = SdpProblem(num_vars=k_total, objective=np.zeros(k_total),
+                      stacks=(stack,), var_layout={})
+    u_w = random_scalings(np.random.default_rng(31), prob.stacks)
     h = normal_matrix(prob, u_w)
     ref = stacked_dense_reference(prob, u_w)
     assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
