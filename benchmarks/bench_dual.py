@@ -24,24 +24,16 @@ Usage: PYTHONPATH=src python benchmarks/bench_dual.py --label TEXT
            [--out BENCH_dual.json]
 """
 import argparse
-import datetime
-import json
-import os
-import platform
 import statistics
 import time
 
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-for _var in THREAD_VARS:
-    os.environ.setdefault(_var, "1")
+from record import append_entry  # sets the BLAS threads; before NumPy
 
-import numpy as np  # noqa: E402
-import scipy  # noqa: E402
+import numpy as np
 
-import drcvar  # noqa: E402
-from drcvar import dual, estimate  # noqa: E402
-from drcvar.data import (SpikyConfig, split_and_normalize,  # noqa: E402
-                         synth_spiky)
+import drcvar
+from drcvar import dual, estimate
+from drcvar.data import SpikyConfig, split_and_normalize, synth_spiky
 
 DAYS, TRAIN_DAYS, WINDOW, WINDOWS = 120, 90, 30, 9
 ALPHAS = (0.01, 0.1, 1.0)
@@ -98,23 +90,6 @@ def timed_runs(cases, runs):
     }
 
 
-def environment():
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    try:
-        affinity = len(os.sched_getaffinity(0))
-    except AttributeError:
-        affinity = None
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "blas": f"{blas.get('name')} {blas.get('version')}",
-        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
-        "cpu_count": os.cpu_count(),
-        "affinity": affinity,
-    }
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--label", required=True,
@@ -127,20 +102,7 @@ def main():
           f"(runs {record['ms_per_cert']}), "
           f"{record['evaluations_per_cert']} evaluations per certificate",
           flush=True)
-    entry = {"label": args.label,
-             "date": datetime.date.today().isoformat(),
-             "env": environment(), "runs": RUNS,
-             "workloads": {"audit_n90": record}}
-
-    entries = []
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            entries = json.load(fh)["entries"]
-    entries.append(entry)
-    # one entry per line, so that appending an entry adds one line
-    with open(args.out, "w") as fh:
-        fh.write('{"entries": [\n' + ",\n".join(map(json.dumps, entries))
-                 + "\n]}\n")
+    append_entry(args.out, args.label, RUNS, {"audit_n90": record})
 
 
 if __name__ == "__main__":

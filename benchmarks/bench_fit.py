@@ -24,24 +24,17 @@ Usage: PYTHONPATH=src python benchmarks/bench_fit.py --label TEXT
            [--out BENCH_fit.json]
 """
 import argparse
-import datetime
-import json
-import os
-import platform
 import statistics
 import time
 
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-for _var in THREAD_VARS:
-    os.environ.setdefault(_var, "1")
+from record import append_entry  # sets the BLAS threads; before NumPy
 
-import numpy as np  # noqa: E402
-import scipy  # noqa: E402
+import numpy as np
 
-import drcvar  # noqa: E402
-from drcvar import estimate  # noqa: E402
-from drcvar.data import (SpikyConfig, radius_sweep,  # noqa: E402
-                         split_and_normalize, synth_spiky)
+import drcvar
+from drcvar import estimate
+from drcvar.data import (SpikyConfig, radius_sweep, split_and_normalize,
+                         synth_spiky)
 
 ALPHA = 0.1
 FIT_RADIUS = 0.01
@@ -99,23 +92,6 @@ def timed_runs(work, runs):
     }
 
 
-def environment():
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    try:
-        affinity = len(os.sched_getaffinity(0))
-    except AttributeError:
-        affinity = None
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "blas": f"{blas.get('name')} {blas.get('version')}",
-        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
-        "cpu_count": os.cpu_count(),
-        "affinity": affinity,
-    }
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--label", required=True,
@@ -123,23 +99,12 @@ def main():
     parser.add_argument("--out", default="BENCH_fit.json")
     args = parser.parse_args()
 
-    entry = {"label": args.label,
-             "date": datetime.date.today().isoformat(),
-             "env": environment(), "runs": RUNS, "workloads": {}}
+    records = {}
     for name, work in workloads().items():
-        entry["workloads"][name] = record = timed_runs(work, RUNS)
+        records[name] = record = timed_runs(work, RUNS)
         print(f"{name}: {record['median_s']} s (runs {record['seconds']}), "
               f"iterations {sum(record['iterations'])}", flush=True)
-
-    entries = []
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            entries = json.load(fh)["entries"]
-    entries.append(entry)
-    # one entry per line, so that appending an entry adds one line
-    with open(args.out, "w") as fh:
-        fh.write('{"entries": [\n' + ",\n".join(map(json.dumps, entries))
-                 + "\n]}\n")
+    append_entry(args.out, args.label, RUNS, records)
 
 
 if __name__ == "__main__":

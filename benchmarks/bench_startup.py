@@ -22,22 +22,14 @@ Usage: PYTHONPATH=src python benchmarks/bench_startup.py --label TEXT
            [--out BENCH_startup.json]
 """
 import argparse
-import datetime
-import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
 
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-for _var in THREAD_VARS:
-    os.environ.setdefault(_var, "1")
-
-import numpy as np  # noqa: E402
-import scipy  # noqa: E402
+from record import append_entry  # sets the BLAS threads of the commands
 
 RUNS = 7
 
@@ -66,23 +58,6 @@ def timed_runs(runs):
             for name, s in seconds.items()}
 
 
-def environment():
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    try:
-        affinity = len(os.sched_getaffinity(0))
-    except AttributeError:
-        affinity = None
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "blas": f"{blas.get('name')} {blas.get('version')}",
-        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
-        "cpu_count": os.cpu_count(),
-        "affinity": affinity,
-    }
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--label", required=True,
@@ -93,19 +68,7 @@ def main():
     record = timed_runs(RUNS)
     for name, rec in record.items():
         print(f"{name}: {rec['median_s']} s (runs {rec['s']})", flush=True)
-    entry = {"label": args.label,
-             "date": datetime.date.today().isoformat(),
-             "env": environment(), "runs": RUNS, "workloads": record}
-
-    entries = []
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            entries = json.load(fh)["entries"]
-    entries.append(entry)
-    # one entry per line, so that appending an entry adds one line
-    with open(args.out, "w") as fh:
-        fh.write('{"entries": [\n' + ",\n".join(map(json.dumps, entries))
-                 + "\n]}\n")
+    append_entry(args.out, args.label, RUNS, record)
 
 
 if __name__ == "__main__":

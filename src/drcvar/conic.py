@@ -26,16 +26,16 @@ batched LAPACK calls instead of Python loops, the affine map and its
 adjoint are the stack's own, and the normal matrix is assembled by one
 :func:`drcvar.kernels.schur_accumulate` call per stack, with the pair
 index arrays built once per stack and kept with it.  The normal
-matrix H, the Fortran-order buffer of its equilibrated Cholesky factor and
-the equilibration scale are allocated once per solve and reused every
-iteration, so no iteration makes a K x K temporary: H is zeroed and
-assembled in place, checked once for finite entries, and its equilibrated
-lower triangle is written into the buffer (with a ridge on the diagonal
-only when one is being tried) and factored, in place as far as SciPy's
-LAPACK wrapper allows (``overwrite_a`` is a permission, not a promise, so
-the solves use the factor it returns); the solves skip the finiteness
-scan.  Determinism over scalability: sized for problems up to a few
-hundred variables and blocks below ~100x100.
+matrix H, the buffer of its Cholesky factor and the Jacobi scale
+jac = sqrt(diag H) are allocated once per solve, so no iteration makes a
+K x K temporary.  H is assembled, checked once for finite entries and
+equilibrated in place to H[i,j] / jac_i / jac_j, the one frame the normal
+equations are solved in (for jac * dx).  A factorization copies it (plus
+any ridge) into the buffer, whose transpose, H being symmetric, LAPACK
+factors in place as far as SciPy allows (``overwrite_a`` is a permission,
+not a promise, so the solves use the factor it returns); the solves skip
+the finiteness scan.  Determinism over scalability: sized for problems up
+to a few hundred variables and blocks below ~100x100.
 
 SciPy is loaded at the first solve, not when this module is imported:
 ``solve_sdp`` imports ``scipy.linalg`` for ``cho_factor`` and
@@ -127,23 +127,8 @@ def _normal_matrix(stacks, u_w, h_mat):
     """
     h_mat.fill(0.0)
     for st, u in zip(stacks, u_w):
-        schur_accumulate(h_mat, u, st.member, st.var, st.p, st.q, st.v,
-                         st.pairs, st.slot)
-
-
-def _equilibrate_lower(h_mat, jac, out):
-    """Write H[i,j] / (jac_i jac_j) into the lower triangle of ``out``.
-
-    ``out`` is in Fortran order and ``h_mat`` in C order, so the copy
-    transposes; going one block of 64 columns at a time keeps both sides in
-    cache.  The lower triangle is all that the Cholesky factor and its
-    solves read.
-    """
-    k = jac.shape[0]
-    for j0 in range(0, k, 64):
-        j1 = min(j0 + 64, k)
-        np.divide(h_mat[j0:, j0:j1], np.multiply.outer(jac[j0:], jac[j0:j1]),
-                  out=out[j0:, j0:j1])
+        schur_accumulate(h_mat, u, st.member, st.p, st.q, st.v, st.pairs,
+                         st.slot)
 
 
 def _left_svd(stack):
@@ -151,7 +136,12 @@ def _left_svd(stack):
 
     NumPy's SVD uses LAPACK's divide-and-conquer driver ``gesdd``, which can
     report non-convergence on finite, moderately conditioned iterates; the
-    QR-iteration driver ``gesvd`` is slower but converges on those.
+    QR-iteration driver ``gesvd`` is slower but converges on those.  The
+    retry is live: in perfbench's seed-1 ``fit_n6`` window 3, ``gesdd``
+    (NumPy's and SciPy's OpenBLAS alike) has failed once per fit on a
+    73 x 73 member of condition number 3.6 that ``gesvd``, and ``gesdd`` of
+    the transpose, converge on; whether an iterate trips it moves with its
+    last bits.
     """
     try:
         u_sv, sig, _ = np.linalg.svd(stack)
@@ -240,12 +230,11 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
     z_st = [np.repeat(eta_d * np.eye(st.size)[None], st.count, axis=0)
             for st in stacks]
 
-    # per-solve workspace: the normal matrix, the buffer of its equilibrated
-    # factor (Fortran order, so that LAPACK can factor it without a copy)
-    # and the equilibration scale; local to the call, as radius_sweep
-    # solves on threads
+    # per-solve workspace: the normal matrix, the buffer of its factor and
+    # the equilibration scale; local to the call, as radius_sweep solves on
+    # threads
     h_mat = np.empty((k_total, k_total))
-    h_fact = np.zeros((k_total, k_total), order="F")
+    h_fact = np.empty((k_total, k_total))
     jac = np.empty(k_total)
 
     best = None  # (merit, x, S stacks, Z stacks)
@@ -332,17 +321,21 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
 
         # Jacobi equilibration keeps the factorization accurate when the
         # variable scales diverge (e.g. the transport multiplier blows up
-        # as the radius shrinks).
+        # as the radius shrinks).  From here on h_mat holds
+        # H[i,j] / jac_i / jac_j, and each direction is solved for jac * dx.
         np.sqrt(np.maximum(np.diagonal(h_mat), 1e-300), out=jac)
+        np.divide(h_mat, jac[:, None], out=h_mat)
+        np.divide(h_mat, jac, out=h_mat)
         ridge = 0.0
         while True:
-            _equilibrate_lower(h_mat, jac, h_fact)
+            np.copyto(h_fact, h_mat)
             if ridge > 0.0:
                 h_fact.flat[::k_total + 1] += ridge
             try:
-                # overwrite_a only permits factoring in place; solve with
-                # the factor returned, which is h_fact when it was
-                factor, _ = sla.cho_factor(h_fact, lower=True,
+                # h_fact.T is the copy in Fortran order (H is symmetric),
+                # which LAPACK can factor in place; overwrite_a only permits
+                # that, so solve with the factor returned
+                factor, _ = sla.cho_factor(h_fact.T, lower=True,
                                            overwrite_a=True,
                                            check_finite=False)
                 break
@@ -352,8 +345,7 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
                     return fail("numerical", it)
 
         def solve_eq(vec):
-            return sla.cho_solve((factor, True), vec / jac,
-                                 check_finite=False) / jac
+            return sla.cho_solve((factor, True), vec, check_finite=False)
 
         # W^-1 R_p W^-1, the primal residual's part of both right-hand sides
         wrw = [u @ r @ u for u, r in zip(u_w, r_p)]
@@ -368,12 +360,14 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
                 t_st = g_inv_t[gi_] @ rtc[gi_] @ g_inv[gi_]
                 t_st += wrw[gi_]
                 rhs += st.adjoint(t_st, k_total)
+            rhs /= jac
             dx = solve_eq(rhs)
             # iterative refinement; the normal matrix gets ill-conditioned
             # near convergence despite the equilibration, and any ridge
             # perturbs the factorization
             for _ in range(2 if ridge > 0.0 else 1):
                 dx += solve_eq(rhs - h_mat @ dx)
+            dx /= jac
             ds, ds_sc, dz_sc = [], [], []
             longest = np.full(2, np.inf)
             for gi_, st in enumerate(stacks):

@@ -20,7 +20,7 @@ so a certificate computes l0 and U once, and each trial gamma costs three
 matrix-vector products with U: l, its slope l' = -U (gamma - lambda)^-2 and
 its curvature l'' = 2 U (gamma - lambda)^-3.  Every term has one sign, so
 nothing cancels however large gamma grows (like 1/r as r -> 0), and nothing
-is factored (see :func:`_transformed_losses`).
+is factored (see :func:`_dual_value`).
 
 g is convex, and its slope is g'(gamma) = r^2/alpha + sum_i w_i l_i'(gamma)
 with w the CVaR tail weights of l(gamma).  :func:`worst_case_cvar` searches
@@ -121,20 +121,25 @@ def _loss_terms(qf: QuadraticForm,
     return np.einsum("ij,ij->i", zh, u + qh), u * u
 
 
-def _transformed_losses(gamma: float, qf: QuadraticForm,
-                        atoms: np.ndarray) -> np.ndarray:
-    """Per-atom values (gamma z + q)' Qg^{-1} (gamma z + q) - gamma ||z||^2.
+def _dual_value(gamma: float, terms: tuple[np.ndarray, np.ndarray],
+                qf: QuadraticForm, spec: RiskSpec) -> tuple:
+    """The transformed losses l(gamma), their CVaR report and g(gamma).
 
-    With g = gamma, Q = V diag(l) V', z^ = V'z and q^ = V'q, each value is
-    sum_j (g z^_j + q^_j)^2 / (g - l_j) - g z^_j^2.  Writing
+    With g = gamma, Q = V diag(l) V', z^ = V'z and q^ = V'q, the loss of
+    atom z is (g z + q)' Qg^{-1} (g z + q) - g ||z||^2
+    = sum_j (g z^_j + q^_j)^2 / (g - l_j) - g z^_j^2.  Writing
     g z^_j + q^_j = (g - l_j) z^_j + u_j with u = V'(Qz + q) splits it into
     the nominal loss l0 = z'Qz + 2q'z and the poles U_j / (g - l_j),
-    U_j = u_j^2 (see :func:`_loss_terms`): g ||z||^2 is never subtracted
-    from a total of the same O(g) size, and in the domain every pole is
-    positive.
+    U_j = u_j^2, from the terms (l0, U) of :func:`_loss_terms`: g ||z||^2
+    is never subtracted from a total of the same O(g) size, and in the
+    domain every pole is positive.  g(gamma) includes the constant term of
+    the quadratic form.
     """
-    ell0, u2 = _loss_terms(qf, atoms)
-    return ell0 + u2 @ (1.0 / (gamma - qf.eigenvalues))
+    ell0, u2 = terms
+    ell = ell0 + u2 @ (1.0 / (gamma - qf.eigenvalues))
+    report = cvar_discrete(ell, spec.alpha)
+    f = gamma * spec.radius**2 / spec.alpha + report.cvar + qf.c
+    return ell, report, f
 
 
 def dual_objective(gamma: float, qf: QuadraticForm, dist: EmpiricalDistribution,
@@ -147,9 +152,7 @@ def dual_objective(gamma: float, qf: QuadraticForm, dist: EmpiricalDistribution,
     """
     if not gamma_domain(qf).contains(gamma):
         return math.inf
-    report = cvar_discrete(_transformed_losses(gamma, qf, dist.atoms),
-                           spec.alpha)
-    return gamma * spec.radius**2 / spec.alpha + report.cvar + qf.c
+    return _dual_value(gamma, _loss_terms(qf, dist.atoms), qf, spec)[2]
 
 
 @dataclass(frozen=True)
@@ -174,10 +177,9 @@ def _trial(gamma: float, terms: tuple[np.ndarray, np.ndarray],
     equal to it (one loss, unless some tie), so that sum_i w_i l_i is the
     CVaR.
     """
-    ell0, u2 = terms
+    ell, report, f = _dual_value(gamma, terms, qf, spec)
+    u2 = terms[1]
     inv = 1.0 / (gamma - qf.eigenvalues)
-    ell = ell0 + u2 @ inv
-    report = cvar_discrete(ell, spec.alpha)
     scale = 1.0 / (spec.alpha * ell.size)
     at_var = ell == report.var
     w = np.where(ell > report.var, scale, 0.0)
@@ -185,8 +187,7 @@ def _trial(gamma: float, terms: tuple[np.ndarray, np.ndarray],
     rate = spec.radius**2 / spec.alpha
     return _Trial(
         gamma=gamma,
-        # as dual_objective computes it, so the two agree bit for bit
-        f=gamma * spec.radius**2 / spec.alpha + report.cvar + qf.c,
+        f=f,
         slope=rate - float(w @ (u2 @ (inv * inv))),
         curvature=2.0 * float(w @ (u2 @ (inv * inv * inv))),
         ell=ell,

@@ -9,16 +9,17 @@ triangles.
 
 Contract
 --------
-``schur_accumulate(H, U, member, var, p, q, v, index, slot=None)`` takes
-the (count, s, s) stack U of the blocks' scaling matrices, the stack's
-entries outside the slot, their pair index arrays ``index`` and the
-stack's :class:`drcvar.sdp.MatrixSlot` (none when ``slot`` is None).  Entry
-e puts v_e at (p_e, q_e) of the constraint matrix of variable var_e in
-block member_e; the entries cover both triangles (an off-diagonal nonzero
+``schur_accumulate(H, U, member, p, q, v, index, slot=None)`` takes the
+(count, s, s) stack U of the blocks' scaling matrices, the stack's entries
+outside the slot, their pair index arrays ``index`` and the stack's
+:class:`drcvar.sdp.MatrixSlot` (none when ``slot`` is None).  Entry e puts
+v_e at (p_e, q_e) of the constraint matrix of variable var_e in block
+member_e; the entries cover both triangles (an off-diagonal nonzero
 appears once per triangle) and are sorted by ``member``, as the stack holds
-them.  The index arrays (:func:`pair_index`) depend only on the entries, so
-they are built once per stack (:attr:`drcvar.sdp.LmiStack.pairs`, at the
-stack's first solve) and passed on every call.  The slot is read through
+them.  The variables var_e reach the kernel only through the index arrays
+(:func:`pair_index`), which depend only on the entries, so they are built
+once per stack (:attr:`drcvar.sdp.LmiStack.pairs`, at its first solve)
+and passed on every call.  The slot is read through
 ``slot.layout`` (R, the nonzero rows S of C, C_S), as the stack's own map
 and adjoint read it, so U C = U[:, S] C_S.  Nothing here imports SciPy.
 
@@ -105,7 +106,7 @@ def pair_index(member, var, p, q, v, count, size):
         bounds=np.append(0, np.cumsum(np.bincount(local, minlength=k))))
 
 
-def schur_accumulate(H, U, member, var, p, q, v, index, slot=None):
+def schur_accumulate(H, U, member, p, q, v, index, slot=None):
     """Add one stack's contribution to H (K x K), in both triangles.
 
     ``index`` is the stack's :func:`pair_index`, ``slot`` its ``MatrixSlot``.

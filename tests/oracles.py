@@ -46,16 +46,17 @@ def phi(tau: float, gamma: float, z, qf: QuadraticForm) -> float:
     Returns ((gamma z + q)' Qg^{-1} (gamma z + q) - gamma ||z||^2 - tau)_+
     for gamma strictly inside the feasible domain, and inf below it or on
     an excluded boundary (where the inner supremum is unbounded or only
-    attained in the limit).  Evaluated by the batched
-    ``dual._transformed_losses`` that ``dual.dual_objective`` runs, as the
-    nominal loss plus the poles U_j / (gamma - lambda_j) of
-    ``dual._loss_terms``, the terms every trial gamma of
-    ``dual.worst_case_cvar`` reuses.
+    attained in the limit).  Evaluated by the batched ``dual._dual_value``
+    that ``dual.dual_objective`` and every trial gamma of
+    ``dual.worst_case_cvar`` run, as the nominal loss plus the poles
+    U_j / (gamma - lambda_j) of ``dual._loss_terms``.
     """
     if not dual.gamma_domain(qf).contains(gamma):
         return math.inf
     atom = np.asarray(z, dtype=float)[None, :]
-    return max(float(dual._transformed_losses(gamma, qf, atom)[0]) - tau, 0.0)
+    ell = dual._dual_value(gamma, dual._loss_terms(qf, atom), qf,
+                           RiskSpec(alpha=1.0, radius=1.0))[0]
+    return max(float(ell[0]) - tau, 0.0)
 
 
 def _hinge_objective(v: np.ndarray, tau: float, gamma: float, z: np.ndarray,

@@ -200,6 +200,33 @@ class TestReporting:
         assert np.all(np.isfinite(sol.x))
         assert np.isfinite(sol.objective_value)
 
+    def test_ridge_retry_reaches_the_optimum(self, monkeypatch):
+        # when every first factorization of a fresh normal matrix fails,
+        # each iteration factors with the 1e-13 ridge and refines twice;
+        # the solve must still reach the known optimum
+        prob, opt = random_kkt_instance(3)
+        accumulate = conic.schur_accumulate
+        factor = scipy.linalg.cho_factor
+        fresh, failures = [], []
+
+        def flagging(h_mat, *args):
+            accumulate(h_mat, *args)
+            fresh[:] = [True]
+
+        def failing_first(a, **kwargs):
+            if fresh:
+                fresh.clear()
+                failures.append(1)
+                raise np.linalg.LinAlgError("not positive definite")
+            return factor(a, **kwargs)
+
+        monkeypatch.setattr(conic, "schur_accumulate", flagging)
+        monkeypatch.setattr(scipy.linalg, "cho_factor", failing_first)
+        sol = solve_sdp(prob)
+        assert sol.status == "optimal"
+        assert len(failures) == sol.iterations > 0
+        assert abs(sol.objective_value - opt) <= 1e-9 * (1.0 + abs(opt))
+
     def test_non_finite_normal_matrix_is_numerical(self, monkeypatch):
         # a NaN in H ends the solve as 'numerical' with the best iterate
         # seen so far, instead of escaping the factorization as an error
@@ -263,17 +290,6 @@ class TestCholeskyFloored:
         healthy = stack[:1]
         factor, out = conic._cholesky_floored(healthy)
         assert out is healthy
-
-
-def test_equilibrated_lower_triangle_is_exact():
-    # written in column blocks into a Fortran-order buffer, the lower
-    # triangle must be H / (jac jac') bit for bit
-    rng = np.random.default_rng(8)
-    h_mat = rng.standard_normal((150, 150))
-    jac = rng.uniform(0.5, 2.0, 150)
-    out = np.full((150, 150), np.nan, order="F")
-    conic._equilibrate_lower(h_mat, jac, out)
-    assert np.array_equal(np.tril(out), np.tril(h_mat / np.outer(jac, jac)))
 
 
 class TestSettings:

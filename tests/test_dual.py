@@ -19,8 +19,8 @@ import scipy.linalg as sla
 
 from drcvar.dual import (
     _bracket_end,
+    _dual_value,
     _loss_terms,
-    _transformed_losses,
     _trial,
     dual_objective,
     gamma_domain,
@@ -128,7 +128,8 @@ class TestTransformedLosses:
                 assert dom.lambda_max < 0.0 and gammas[0] == 0.0
             for g in gammas:
                 ref, scale = dense_transformed_losses(g, qf, atoms)
-                got = _transformed_losses(g, qf, atoms)
+                got = _dual_value(g, _loss_terms(qf, atoms), qf,
+                                  RiskSpec(alpha=1.0, radius=1.0))[0]
                 assert np.all(np.abs(got - ref) <= 1e-8 * (1.0 + scale))
 
 
@@ -401,7 +402,7 @@ class TestSlopeSearch:
             h = 1e-5 * (1.0 + gamma)
             # smooth there: the same losses lead the CVaR at gamma +- h
             k = int(np.floor(spec.alpha * big_n))
-            tails = {tuple(np.argsort(-_transformed_losses(g, qf, dist.atoms))
+            tails = {tuple(np.argsort(-_dual_value(g, terms, qf, spec)[0])
                            [:k + 1]) for g in (gamma - h, gamma, gamma + h)}
             if len(tails) > 1:
                 continue

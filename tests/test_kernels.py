@@ -22,7 +22,7 @@ def random_block(rng, k_total, size, entries):
 def accumulate(h, u, member, var, p, q, v, slot=None):
     """One kernel call with the stack's pair index built as the solver does."""
     index = kernels.pair_index(member, var, p, q, v, *u.shape[:2])
-    kernels.schur_accumulate(h, u, member, var, p, q, v, index, slot)
+    kernels.schur_accumulate(h, u, member, p, q, v, index, slot)
 
 
 def dense_reference(k_total, u, var, p, q, v):
