@@ -10,22 +10,20 @@ blocks, and one call each of the atom stack's linear map
 (``LmiStack.linear``) and its adjoint (``LmiStack.adjoint``).  Every block
 gets a random well-conditioned PSD scaling matrix, which the adjoint also
 reads.  Reports the best time of the repeats and max |H - H'| / max |H|.
-BLAS is pinned to one thread before NumPy is imported.
+BLAS is pinned to one thread by importing ``record`` before NumPy.
 
 Usage: PYTHONPATH=src python benchmarks/bench_schur.py [--repeats N]
 """
 import argparse
-import os
 import time
 
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("OMP_NUM_THREADS", "1")
+import record  # noqa: F401  sets the BLAS threads; before NumPy
 
-import numpy as np  # noqa: E402
+import numpy as np
 
-from drcvar import conic  # noqa: E402
-from drcvar.model import EmpiricalDistribution, RiskSpec  # noqa: E402
-from drcvar.sdp import build_drcvar_sdp  # noqa: E402
+from drcvar import conic
+from drcvar.model import EmpiricalDistribution, RiskSpec
+from drcvar.sdp import build_drcvar_sdp
 
 
 def best_time(call, repeats):

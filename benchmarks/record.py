@@ -1,12 +1,13 @@
-"""What the scripts that write the BENCH_*.json files share.
+"""What the benchmark scripts share.
 
 Importing this module sets every BLAS thread variable left unset to 1, for
-the process and the ones it starts; a script imports it before NumPy, as
-BLAS reads the variables when NumPy loads it.  :func:`append_entry` adds
-one entry to a file: the label, the date, the environment (Python, NumPy,
-SciPy, the BLAS library, the BLAS thread variables and the core count),
-the runs per workload and the workloads' records.  The file holds one
-entry per line, so that appending an entry adds one line.
+the process and the ones it starts; every script in this directory imports
+it before NumPy, as BLAS reads the variables when NumPy loads it.
+:func:`append_entry` adds one entry to a file: the label, the date, the
+environment (Python, NumPy, SciPy, the BLAS library, the BLAS thread
+variables and the core count), the runs per workload and the workloads'
+records.  The file holds one entry per line, so that appending an entry
+adds one line.
 """
 import datetime
 import json

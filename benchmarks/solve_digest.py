@@ -18,23 +18,21 @@ generated and with coordinates 3 and 30 set to the constant 0.5; the
 ``strict`` and ``fast`` profiles; ``nominal_cvar`` (radius 0) at alpha in
 {0.1, 1}; ``dr_cvar`` at alpha in {0.9/N, 1/N, 0.1, 1} x r in {1e-8, ..., 1e4}.
 That is 360 solves, a few minutes on one core.  BLAS is pinned to one
-thread before NumPy is imported, as the digest depends on it.
+thread (``record``, imported before NumPy), as the digest depends on it.
 
 Usage: PYTHONPATH=src python benchmarks/solve_digest.py
 """
 import hashlib
-import os
 
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("OMP_NUM_THREADS", "1")
+import record  # noqa: F401  sets the BLAS threads; before NumPy
 
-import numpy as np  # noqa: E402
+import numpy as np
 
-from drcvar.conic import solve_sdp  # noqa: E402
-from drcvar.data import SpikyConfig, split_and_normalize, synth_spiky  # noqa: E402
-from drcvar.estimate import default_solver_settings  # noqa: E402
-from drcvar.model import EmpiricalDistribution, RiskSpec  # noqa: E402
-from drcvar.sdp import build_drcvar_sdp  # noqa: E402
+from drcvar.conic import solve_sdp
+from drcvar.data import SpikyConfig, split_and_normalize, synth_spiky
+from drcvar.estimate import default_solver_settings
+from drcvar.model import EmpiricalDistribution, RiskSpec
+from drcvar.sdp import build_drcvar_sdp
 
 SEEDS = (1, 6, 1009)
 DAYS = 6

@@ -328,6 +328,8 @@ def _cmd_check_dual(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     start_date = _parse_date_flag(args.start_date)
     try:
         config = SpikyConfig(

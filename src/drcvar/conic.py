@@ -45,9 +45,10 @@ gen-data``, ``drcvar eval``, a least-squares fit) never imports SciPy.
 
 Status classification
 ---------------------
-``optimal``     relative complementarity gap <S, Z>, relative objective gap
-                |pobj - dobj| / max(1, (|pobj| + |dobj|) / 2) and scaled
-                residuals all below tolerances.
+``optimal``     a finite iterate whose relative complementarity gap <S, Z>,
+                relative objective gap |pobj - dobj| / max(1, (|pobj| +
+                |dobj|) / 2) and two scaled residuals are each <= ``tol``;
+                their maximum is also the merit that ranks the best iterate.
 ``infeasible``  a diverging dual iterate yields a Farkas-type certificate:
                 the dual objective has grown past 1e8 times the primal
                 scale while the dual constraint image satisfies
@@ -85,15 +86,15 @@ _FRAC_SLOPE = 0.099
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Interior-point tolerances and limits."""
+    """Stopping tolerance and iteration cap: ``optimal`` once the relative
+    gap, objective gap and both scaled residuals are each at most ``tol``."""
 
-    tol_gap: float = 1e-8
-    tol_feas: float = 1e-8
+    tol: float = 1e-8
     max_iter: int = 200
 
     def __post_init__(self):
-        if self.tol_gap <= 0.0 or self.tol_feas <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if self.tol <= 0.0:
+            raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -270,11 +271,9 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
         finite = (np.all(np.isfinite(x)) and math.isfinite(gap)
                   and math.isfinite(pobj) and math.isfinite(dobj))
 
-        if finite and max(relgap, objgap) <= settings.tol_gap \
-                and pinf <= settings.tol_feas and dinf <= settings.tol_feas:
-            return finish("optimal", it)
-
         merit = max(relgap, objgap, pinf, dinf)
+        if finite and merit <= settings.tol:
+            return finish("optimal", it)
         if finite and (best is None or merit < best[0]):
             best = (merit, x.copy(), [s.copy() for s in s_st],
                     [z.copy() for z in z_st])

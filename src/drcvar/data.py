@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import math
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -427,8 +428,10 @@ class SpikyConfig:
             raise ValueError("days must be positive")
         if not (0.0 <= self.spike_prob <= 1.0):
             raise ValueError("spike_prob must be in [0, 1]")
-        if self.spike_scale < 0.0 or self.noise < 0.0 or self.spike_ramp < 0.0:
-            raise ValueError("spike_scale, noise and spike_ramp must be >= 0")
+        if not all(math.isfinite(v) and v >= 0.0
+                   for v in (self.spike_scale, self.noise, self.spike_ramp)):
+            raise ValueError("spike_scale, noise and spike_ramp must be "
+                             "finite and >= 0")
 
 
 # Affine price/load relation of the generator (known to tests).

@@ -92,7 +92,7 @@ def default_solver_settings(profile: str = "strict") -> SolverSettings:
     if profile == "strict":
         return SolverSettings()
     if profile == "fast":
-        return SolverSettings(tol_gap=1e-6, tol_feas=1e-6, max_iter=100)
+        return SolverSettings(tol=1e-6, max_iter=100)
     raise ValueError(f"unknown tolerance profile '{profile}'")
 
 
@@ -174,27 +174,16 @@ def fit_dr_mse(dist: EmpiricalDistribution, r: float,
 def fit_nominal_mse(dist: EmpiricalDistribution) -> FitResult:
     """Closed-form least squares of x on y over the atoms.
 
-    Normal equations on centered data, solved with NumPy: the Cholesky
-    factor L of the y-Gram matrix (``np.linalg.cholesky``, with a 1e-10
-    ridge when it fails on degenerate regressors), then ``np.linalg.solve``
-    with L and with L'.  SciPy is not loaded.
+    A is one SVD-based ``np.linalg.lstsq`` solve on centered data: the
+    minimum-norm solution when the regressors are rank deficient (at most
+    m atoms, or a constant coordinate).  SciPy is not loaded.
     """
     t0 = time.perf_counter()
     x = dist.x
     y = dist.y
     xbar = x.mean(axis=0)
     ybar = y.mean(axis=0)
-    xc = x - xbar
-    yc = y - ybar
-    n_atoms = dist.size
-    gram = yc.T @ yc / n_atoms
-    cross = xc.T @ yc / n_atoms
-    try:
-        low = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        low = np.linalg.cholesky(gram + 1e-10 * np.eye(dist.m))
-    # NumPy has no triangular solve, so its general solve runs on L and L'
-    a_mat = np.linalg.solve(low.T, np.linalg.solve(low, cross.T)).T
+    a_mat = np.linalg.lstsq(y - ybar, x - xbar, rcond=None)[0].T
     b_vec = xbar - a_mat @ ybar
     est = AffineEstimator(A=a_mat, b=b_vec)
     value = float(np.mean(loss_batch(est, dist)))

@@ -145,6 +145,11 @@ class LmiStack:
     slot: MatrixSlot | None = None
 
     def __post_init__(self):
+        if any(np.any((idx < 0) | (idx >= bound)) for idx, bound in
+               ((self.member, self.count), (self.p, self.size),
+                (self.q, self.size))):
+            raise ValueError(f"stack {self.name}: an entry lies outside its "
+                             f"{self.count} blocks of size {self.size}")
         slot = self.slot
         if slot is None:
             return

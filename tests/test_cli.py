@@ -365,6 +365,13 @@ class TestErrors:
                      id="sweep-radii-text"),
         pytest.param(["gen-data", "--seed", "1", "--days", "0",
                       "--out", "{tmp}/x.csv"], None, id="gen-data-days"),
+        pytest.param(["gen-data", "--seed=-1", "--out", "{tmp}/x.csv"], None,
+                     id="gen-data-seed"),
+        *[pytest.param(["gen-data", "--seed", "1", flag, value,
+                        "--out", "{tmp}/x.csv"], None,
+                       id=f"gen-data{flag}-{value}")
+          for flag, value in (("--spike-scale", "inf"),
+                              ("--spike-ramp", "nan"), ("--noise", "nan"))],
         pytest.param(["fit", "--data", "{data}", "--method", "nominal_mse"],
                      "bogus", id="tol-profile"),
         pytest.param(["check-dual", "--data", "{data}", "--radius", "0"],

@@ -159,7 +159,7 @@ class TestReporting:
                     for st, z in zip(prob.stacks, sol.dual_blocks))
         pobj = sol.objective_value
         scale = max(1.0, 0.5 * (abs(pobj) + abs(dobj)))
-        assert abs(pobj - dobj) / scale <= settings.tol_gap
+        assert abs(pobj - dobj) / scale <= settings.tol
 
     def test_svd_failure_retried_with_gesvd(self, monkeypatch):
         # LAPACK's gesdd can fail to converge on finite iterates; the
@@ -295,14 +295,13 @@ class TestCholeskyFloored:
 class TestSettings:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SolverSettings(tol_gap=0.0)
+            SolverSettings(tol=0.0)
         with pytest.raises(ValueError):
             SolverSettings(max_iter=0)
 
     def test_loose_tolerances_still_solve(self):
         prob, opt = random_kkt_instance(5)
-        sol = solve_sdp(prob, SolverSettings(tol_gap=1e-6, tol_feas=1e-6,
-                                             max_iter=100))
+        sol = solve_sdp(prob, SolverSettings(tol=1e-6, max_iter=100))
         assert sol.status == "optimal"
         assert abs(sol.objective_value - opt) <= 1e-4 * (1.0 + abs(opt))
 

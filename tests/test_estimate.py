@@ -183,6 +183,20 @@ class TestNominalMse:
         assert float(np.max(np.abs(grad_a))) <= 1e-8
         assert float(np.max(np.abs(grad_b))) <= 1e-8
 
+    def test_minimum_norm_fit_of_a_short_window(self):
+        # a 6-day day-ahead window: N = 6 atoms and m = 24 regressors, so
+        # the centered regressors have rank 5 and A interpolates the atoms
+        ds = synth_spiky(SpikyConfig(days=7), seed=1)
+        dist, _, _ = split_and_normalize(ds, ds.dates[6])
+        assert dist.size <= dist.m
+        fit = fit_nominal_mse(dist)
+        xc = dist.x - dist.x.mean(axis=0)
+        yc = dist.y - dist.y.mean(axis=0)
+        a_pinv = (np.linalg.pinv(yc) @ xc).T
+        assert np.linalg.norm(fit.estimator.A - a_pinv) \
+            <= 1e-10 * np.linalg.norm(a_pinv)
+        assert fit.optimal_value <= 1e-20
+
 
 class TestNominalCvar:
     def test_alpha_one_matches_mse(self):
@@ -234,8 +248,8 @@ class TestNominalCvar:
 
 class TestSettingsAndErrors:
     def test_profiles(self):
-        assert default_solver_settings("strict").tol_gap == 1e-8
-        assert default_solver_settings("fast").tol_gap == 1e-6
+        assert default_solver_settings("strict").tol == 1e-8
+        assert default_solver_settings("fast").tol == 1e-6
         with pytest.raises(ValueError):
             default_solver_settings("sloppy")
 

@@ -231,6 +231,21 @@ class TestRoundTrip:
         assert np.array_equal(st.evaluate(np.array([1.0, 0.0]))[0],
                               np.array([[0.0, 1.0], [1.0, 2.0]]))
 
+    def test_entries_outside_the_blocks_are_rejected(self):
+        # a (member, p, q) outside count x size x size would wrap into a
+        # neighbouring entry or member of the flattened stack
+        def stack(member, p, q):
+            return LmiStack("s", np.zeros((2, 2, 2)), np.array([member]),
+                            np.zeros(1, dtype=np.int64), np.array([p]),
+                            np.array([q]), np.ones(1))
+
+        for member, p, q in [(0, 0, 2), (1, 2, 0), (2, 0, 0), (-1, 0, 0),
+                             (0, -1, 0), (0, 0, -1)]:
+            with pytest.raises(ValueError, match="stack s: an entry lies"):
+                stack(member, p, q)
+        assert np.array_equal(stack(1, 1, 0).linear(np.ones(1))[1],
+                              np.array([[0.0, 0.0], [1.0, 0.0]]))
+
     def test_slot_map_matches_definition(self):
         # a slot whose C has nonzeros inside the rows R and zero rows at both
         # ends, against M = e_{R_u} c' + c e_{R_u}' written out densely
