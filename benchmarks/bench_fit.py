@@ -7,7 +7,11 @@ day N (n = m = 24), alpha = 0.1:
 
 - ``fit_n30`` and ``fit_n90``: ``fit_dr_cvar`` at r = 0.01, N = 30 and 90;
 - ``sweep_n30``: ``radius_sweep`` at N = 30 over the 5 radii 1e-3 ... 10,
-  on one thread, so ``dr_cvar`` and ``dr_mse`` at each radius: 10 fits.
+  on one thread, so ``dr_cvar`` and ``dr_mse`` at each radius: 10 fits;
+- ``small_r_n30``: the same sweep over the small radii 1e-8, 1e-6 and
+  1e-4, where the transport multiplier gamma grows like 1/r: 6 fits.  A
+  sweep records a failed fit as a row, so a ``max_iter`` solve shows in
+  the record instead of stopping the run.
 
 Each workload runs ``RUNS`` = 3 times back to back.  Its record
 holds the median and every run's seconds, and the status and iteration
@@ -40,6 +44,7 @@ ALPHA = 0.1
 FIT_RADIUS = 0.01
 RUNS = 3
 SWEEP_RADII = tuple(np.logspace(-3, 1, 5))
+SMALL_RADII = (1e-8, 1e-6, 1e-4)
 
 
 def reference_data(big_n):
@@ -56,6 +61,9 @@ def workloads():
         "fit_n90": lambda: estimate.fit_dr_cvar(train90, spec),
         "sweep_n30": lambda: radius_sweep(train30, test30, ALPHA, SWEEP_RADII,
                                           scaler=scaler30, threads=1),
+        "small_r_n30": lambda: radius_sweep(train30, test30, ALPHA,
+                                            SMALL_RADII, scaler=scaler30,
+                                            threads=1),
     }
 
 

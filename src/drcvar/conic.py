@@ -9,11 +9,20 @@ takes two directions through one routine: the predictor (affine scaling,
 step fraction 1), whose step lengths set sigma = (mu_aff / mu)^3, and the
 corrector (centering at sigma * mu plus the second-order term), taken with
 one step length for both sides.  A direction's primal and dual step
-lengths come from one batched ``eigvalsh`` per block stack with both sides
-stacked.  The corrector goes the fraction 0.9 + 0.099 * alpha_prev of the
-way to the cone boundary, alpha_prev being the step length the previous
-iteration took (1 at the first), after SDPT3's 0.9 + 0.09 * alpha_prev
-(Toh, Todd & Tutuncu, Optim. Methods Softw. 11, 1999).  A fraction pushed
+lengths come from the spectra of Lambda^-1/2 dS~ Lambda^-1/2 and
+Lambda^-1/2 dZ~ Lambda^-1/2, dS~ = G^-1 dS G^-T and dZ~ = G' dZ G being
+the scaled directions, by one batched ``eigvalsh`` per block stack.  The
+predictor's dZ~ is -Lambda - dS~, so its dual spectrum is -1 minus its
+primal one: its ``eigvalsh`` takes the primal side alone, and its
+right-hand side uses G^-T (-Lambda) G^-1 = -Z (G'ZG = Lambda).  The
+corrector's ``eigvalsh`` stacks both sides; its second-order term
+(dS~ dZ~ + dZ~ dS~) / 2 is (P + P') / 2 with P = dS~ dZ~ from the
+predictor, one product per stack.  These are the NT-scaling identities
+SDPT3 is built on.  The corrector goes the fraction
+0.9 + 0.099 * alpha_prev of the way to the cone boundary, alpha_prev being
+the step length the previous iteration took (1 at the first), after
+SDPT3's 0.9 + 0.09 * alpha_prev (Toh, Todd & Tutuncu, Optim. Methods
+Softw. 11, 1999).  A fraction pushed
 toward 1 as the gap closes leaves each full step next to the boundary, and
 the next direction is then blocked after a short step: on an N = 6 fit,
 the dual step fell to 0.04-0.13 every other iteration.  A cone block whose
@@ -93,8 +102,8 @@ class SolverSettings:
     max_iter: int = 200
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -130,6 +139,24 @@ def _normal_matrix(stacks, u_w, h_mat):
     for st, u in zip(stacks, u_w):
         schur_accumulate(h_mat, u, st.member, st.p, st.q, st.v, st.pairs,
                          st.slot)
+
+
+def _diag(stack):
+    """Writable view of the diagonals of a (count, s, s) stack, (count, s)."""
+    return np.einsum("...ii->...i", stack)
+
+
+def _step_lengths(w_p, w_d, frac):
+    """(a_p, a_d): frac times the longest step that keeps each side PSD,
+    capped at 1, from the smallest eigenvalues of the scaled directions
+    Lambda^-1/2 dS~ Lambda^-1/2 (w_p) and Lambda^-1/2 dZ~ Lambda^-1/2
+    (w_d), one array per block stack."""
+    steps = []
+    for w_min in (w_p, w_d):
+        w_min = min(float(w.min()) for w in w_min)
+        steps.append(min(1.0, frac * (-1.0 / w_min))
+                     if w_min < -1e-14 else 1.0)
+    return steps
 
 
 def _left_svd(stack):
@@ -349,16 +376,12 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
         # W^-1 R_p W^-1, the primal residual's part of both right-hand sides
         wrw = [u @ r @ u for u, r in zip(u_w, r_p)]
 
-        def step(rtc, frac):
-            # direction for the scaled complementarity target rtc, and the
-            # primal and dual step lengths: frac times the longest step that
-            # keeps each side PSD, capped at 1, from one eigvalsh per group
-            # over both sides' scaled directions
+        def direction(t_st):
+            # dx for the right-hand side -r_d + sum_j A_j'(t_j), with dS and
+            # its scaled form G^-1 dS G^-T per stack
             rhs = -r_d
-            for gi_, st in enumerate(stacks):
-                t_st = g_inv_t[gi_] @ rtc[gi_] @ g_inv[gi_]
-                t_st += wrw[gi_]
-                rhs += st.adjoint(t_st, k_total)
+            for t, st in zip(t_st, stacks):
+                rhs += st.adjoint(t, k_total)
             rhs /= jac
             dx = solve_eq(rhs)
             # iterative refinement; the normal matrix gets ill-conditioned
@@ -367,46 +390,54 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
             for _ in range(2 if ridge > 0.0 else 1):
                 dx += solve_eq(rhs - h_mat @ dx)
             dx /= jac
-            ds, ds_sc, dz_sc = [], [], []
-            longest = np.full(2, np.inf)
-            for gi_, st in enumerate(stacks):
-                d_s = st.linear(dx) - r_p[gi_]
-                d_s_sc = g_inv[gi_] @ d_s @ g_inv_t[gi_]
-                d_z_sc = rtc[gi_] - d_s_sc
-                w = np.linalg.eigvalsh(
-                    np.stack([d_s_sc, d_z_sc]) / rt_outer[gi_])
-                w_min = w[:, :, 0].min(axis=1)
-                neg = w_min < -1e-14
-                longest[neg] = np.minimum(longest[neg], -1.0 / w_min[neg])
-                ds.append(d_s)
-                ds_sc.append(d_s_sc)
-                dz_sc.append(d_z_sc)
-            a_p, a_d = np.minimum(1.0, frac * longest)
-            return dx, ds, ds_sc, dz_sc, float(a_p), float(a_d)
+            ds = [st.linear(dx) - r for st, r in zip(stacks, r_p)]
+            ds_sc = [gi @ d @ git for gi, d, git in zip(g_inv, ds, g_inv_t)]
+            return dx, ds, ds_sc
 
         frac = _FRAC_FLOOR + _FRAC_SLOPE * alpha
-        lam_diag = [lam[gi_][:, :, None] * np.eye(st.size)
-                    for gi_, st in enumerate(stacks)]
         try:
-            # predictor: the affine-scaling direction, full step lengths
-            _, _, dss_a, dzs_a, ap_aff, ad_aff = step(
-                [-ld for ld in lam_diag], 1.0)
-            mu_aff = sum(
-                float(np.sum((lam_diag[gi_] + ap_aff * dss_a[gi_])
-                             * (lam_diag[gi_] + ad_aff * dzs_a[gi_])))
-                for gi_ in range(len(stacks))
-            ) / dim
+            # predictor: the affine-scaling direction, full step lengths.
+            # Its target is -Lambda, so its right-hand side holds
+            # G^-T (-Lambda) G^-1 = -Z, and dZ~ = -Lambda - dS~: in the
+            # Lambda^-1/2 frame the dual spectrum is -1 minus the primal
+            # one, and one eigvalsh gives both step lengths
+            _, _, dss_a = direction([t - z for t, z in zip(wrw, z_st)])
+            w_sc = [np.linalg.eigvalsh(d / ro)
+                    for d, ro in zip(dss_a, rt_outer)]
+            ap_aff, ad_aff = _step_lengths([w[:, 0] for w in w_sc],
+                                           [-1.0 - w[:, -1] for w in w_sc],
+                                           1.0)
+            dzs_a, mu_aff = [], 0.0
+            for d_s, lam_g in zip(dss_a, lam):
+                d_z = -d_s
+                _diag(d_z)[...] -= lam_g
+                dzs_a.append(d_z)
+                s_aff = ap_aff * d_s
+                _diag(s_aff)[...] += lam_g
+                z_aff = ad_aff * d_z
+                _diag(z_aff)[...] += lam_g
+                mu_aff += float(np.sum(s_aff * z_aff))
+            mu_aff /= dim
             sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
 
             # corrector: centering at sigma * mu plus the second-order term
+            # (dS~ dZ~ + dZ~ dS~) / 2 = (P + P') / 2, P = dS~ dZ~, both
+            # being symmetric
             rtc = []
-            for gi_, st in enumerate(stacks):
-                lam_sq = lam[gi_] ** 2
-                corr = (sigma * mu - lam_sq)[:, :, None] * np.eye(st.size)
-                corr -= 0.5 * (dss_a[gi_] @ dzs_a[gi_] + dzs_a[gi_] @ dss_a[gi_])
-                denom = 0.5 * (lam[gi_][:, :, None] + lam[gi_][:, None, :])
-                rtc.append(corr / denom)
-            dx, ds, _, dzs, a_p, a_d = step(rtc, frac)
+            for d_s, d_z, lam_g in zip(dss_a, dzs_a, lam):
+                corr = d_s @ d_z
+                corr += corr.transpose(0, 2, 1)
+                corr *= -0.5
+                _diag(corr)[...] += sigma * mu - lam_g**2
+                corr /= 0.5 * (lam_g[:, :, None] + lam_g[:, None, :])
+                rtc.append(corr)
+            dx, ds, dss = direction([git @ r @ gi + t for git, r, gi, t
+                                     in zip(g_inv_t, rtc, g_inv, wrw)])
+            dzs = [r - d for r, d in zip(rtc, dss)]
+            w_sc = [np.linalg.eigvalsh(np.stack([d_s, d_z]) / ro)
+                    for d_s, d_z, ro in zip(dss, dzs, rt_outer)]
+            a_p, a_d = _step_lengths([w[0, :, 0] for w in w_sc],
+                                     [w[1, :, 0] for w in w_sc], frac)
         except (np.linalg.LinAlgError, ValueError):
             return fail("numerical", it)
         # a single step length for both sides

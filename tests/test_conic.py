@@ -299,6 +299,13 @@ class TestSettings:
         with pytest.raises(ValueError):
             SolverSettings(max_iter=0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-8])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        # a NaN tol compares false with every merit, so a solve with it
+        # could never end optimal; it ran to max_iter instead of raising
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolverSettings(tol=tol)
+
     def test_loose_tolerances_still_solve(self):
         prob, opt = random_kkt_instance(5)
         sol = solve_sdp(prob, SolverSettings(tol=1e-6, max_iter=100))

@@ -246,6 +246,19 @@ class TestNominalCvar:
         assert fit.cross_check_gap <= 1e-6 * (1.0 + abs(fit.optimal_value))
 
 
+def test_day_ahead_alpha_one_at_a_tiny_radius_is_optimal():
+    # the day-ahead reference data, N = 30, alpha = 1, r = 1e-8: from an
+    # identity start gamma would creep toward its optimum of order 1/r by
+    # a few percent per iteration and the fit would end max_iter after
+    # 200; the builder's start scale puts gamma at that scale from the
+    # first iteration
+    ds = synth_spiky(SpikyConfig(days=40), seed=1)
+    train, _, _ = split_and_normalize(ds, ds.dates[30])
+    res = fit_dr_cvar(train, RiskSpec(alpha=1.0, radius=1e-8))
+    assert res.iterations <= 40
+    assert res.cross_check_gap <= CROSS_CHECK_TOL * (1.0 + abs(res.optimal_value))
+
+
 class TestSettingsAndErrors:
     def test_profiles(self):
         assert default_solver_settings("strict").tol == 1e-8

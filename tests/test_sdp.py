@@ -5,10 +5,14 @@ sparse affine maps against direct dense construction, both Schur-complement
 equivalences, and solution extraction.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
+from drcvar import sdp
 from drcvar.conic import solve_sdp
+from drcvar.data import SpikyConfig, split_and_normalize, synth_spiky
 from drcvar.model import (
     AffineEstimator,
     EmpiricalDistribution,
@@ -378,6 +382,115 @@ class TestSchurEquivalences:
                 assert is_psd == (offset > 0)
                 pair_feasible = is_psd and s_i >= 0.0
                 assert pair_feasible == (s_i >= max(raw, 0.0))
+
+
+def unscaled_atom_arrays(dist, robust=True):
+    """(m0, cols, v) of the atom stack written out entry by entry in the
+    unscaled displacement form: M0 holds I_n, x_i in column 0 and, when
+    robust, the -I_n of F; C holds -y_i and -1 in row 0 and the A part of
+    F' in rows 1 + n ..; gamma, tau and s_i enter with coefficient 1."""
+    n, m, big_n = dist.n, dist.m, dist.size
+    d = n + m if robust else 0
+    size = 1 + d + n
+    m0 = np.zeros((big_n, size, size))
+    cols = np.zeros((big_n, size, m + 1))
+    for i in range(big_n):
+        for u in range(n):
+            r = 1 + d + u
+            m0[i, r, r] = 1.0
+            m0[i, r, 0] = m0[i, 0, r] = dist.atoms[i, u]
+            if robust:
+                m0[i, r, 1 + u] = m0[i, 1 + u, r] = -1.0
+        for v in range(m):
+            cols[i, 0, v] = -dist.atoms[i, n + v]
+            if robust:
+                cols[i, 1 + n + v, v] = 1.0
+        cols[i, 0, m] = -1.0
+    return m0, cols, np.ones(big_n * (d + 2))
+
+
+def day_ahead(big_n):
+    ds = synth_spiky(SpikyConfig(days=big_n + 10), seed=1)
+    return split_and_normalize(ds, ds.dates[big_n])[0]
+
+
+class TestStartScale:
+    def test_gate_and_cap(self):
+        eta = 3.0
+        assert sdp._start_scale(float("nan"), eta) == 1.0
+        assert sdp._start_scale(float("inf"), eta) == 1.0
+        assert sdp._start_scale(2.0 * eta, eta) == 1.0
+        assert sdp._start_scale(7.0, eta) == 7.0
+        # 1 / g0 stays a normal float however large gamma* gets
+        big = sdp._start_scale(1e308, eta)
+        assert big == 2.0**1022
+        assert 1.0 / big >= sys.float_info.min
+
+    @pytest.mark.parametrize("kind", ["radius_zero", "gated_off",
+                                      "day_ahead_reference"])
+    def test_unscaled_programs_are_written_bit_for_bit(self, kind):
+        # radius zero has no gamma, and where g0 <= 2 eta the atom stack
+        # holds the unscaled displacement form entry for entry
+        if kind == "day_ahead_reference":
+            dist = day_ahead(30)
+            prob = build_drcvar_sdp(dist, RiskSpec(alpha=0.1, radius=0.01))
+        else:
+            radius = 0.0 if kind == "radius_zero" else 1.0
+            dist, prob = small_problem(n=2, m=3, big_n=4, radius=radius)
+        assert prob.meta["gamma_scale"] == 1.0
+        m0, cols, v = unscaled_atom_arrays(dist, kind != "radius_zero")
+        atom = prob.stacks[1]
+        assert atom.m0.tobytes() == m0.tobytes()
+        assert atom.slot.cols.tobytes() == cols.tobytes()
+        assert atom.v.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("kind", ["small_radius", "day_ahead_alpha_one"])
+    def test_scaled_program_is_the_congruence(self, kind):
+        # above the gate the atom block is D B D with D = diag(1, g0^-1/2
+        # I_d, I_n), B the unscaled block; x keeps its meaning
+        if kind == "day_ahead_alpha_one":
+            dist = day_ahead(30)
+            prob = build_drcvar_sdp(dist, RiskSpec(alpha=1.0, radius=1e-8))
+        else:
+            dist, prob = small_problem(n=2, m=3, big_n=4, radius=1e-3)
+        g0 = prob.meta["gamma_scale"]
+        assert g0 > 2.0
+        n, d = dist.n, dist.dim
+        root = 1.0 / np.sqrt(g0)
+        dvec = np.concatenate([[1.0], np.full(d, root), np.ones(n)])
+        m0, cols, v = unscaled_atom_arrays(dist)
+        atom = prob.stacks[1]
+        assert np.array_equal(atom.m0, dvec[:, None] * m0 * dvec)
+        assert np.array_equal(atom.slot.cols, dvec[:, None] * cols)
+        gamma_entries = atom.var == prob.var_layout["gamma"][0]
+        assert np.all(atom.v[gamma_entries] == 1.0 / g0)
+        assert np.all(atom.v[~gamma_entries] == 1.0)
+
+    def test_scaled_block_is_psd_exactly_when_unscaled_is(self, monkeypatch):
+        rng = np.random.default_rng(SEED + 21)
+        n, m, big_n = 2, 2, 3
+        dist, scaled = small_problem(n=n, m=m, big_n=big_n, radius=1e-3,
+                                     seed=SEED + 22)
+        g0 = scaled.meta["gamma_scale"]
+        assert g0 > 2.0
+        monkeypatch.setattr(sdp, "_start_scale", lambda g, eta: 1.0)
+        plain = build_drcvar_sdp(dist, RiskSpec(alpha=0.5, radius=1e-3))
+        assert plain.meta["gamma_scale"] == 1.0
+        outcomes = set()
+        for _ in range(200):
+            x = rng.standard_normal(plain.num_vars)
+            a_mat = x[plain.layout_slice("A")].reshape((n, m), order="F")
+            smax_sq = np.linalg.norm(np.hstack([-np.eye(n), a_mat]), 2)**2
+            x[plain.layout_slice("gamma")] = smax_sq * rng.uniform(0.8, 3.0)
+            x[plain.layout_slice("s")] = rng.uniform(0.0, 30.0, big_n)
+            w_plain = np.linalg.eigvalsh(plain.stacks[1].evaluate(x))[:, 0]
+            w_scaled = np.linalg.eigvalsh(scaled.stacks[1].evaluate(x))[:, 0]
+            # skip members too close to the boundary for rounding to decide
+            clear = np.minimum(np.abs(w_plain), np.abs(w_scaled)) > 1e-9
+            psd = w_plain[clear] >= 0.0
+            assert np.array_equal(psd, w_scaled[clear] >= 0.0)
+            outcomes.update(psd.tolist())
+        assert outcomes == {True, False}
 
 
 class TestExtract:
