@@ -23,10 +23,12 @@ import sys
 import numpy as np
 
 from .data import (
+    HOURS,
     DataError,
     MinMaxScaler,
     SpikyConfig,
     evaluate_out_of_sample,
+    json_number,
     load_dataset,
     radius_sweep,
     split_and_normalize,
@@ -87,14 +89,6 @@ def _emit(doc: dict, out_path=None) -> None:
     print(text)
 
 
-def _num(value):
-    """JSON-safe number: non-finite floats become null."""
-    if value is None:
-        return None
-    value = float(value)
-    return value if math.isfinite(value) else None
-
-
 def _parse_date_flag(text: str) -> datetime.date:
     try:
         return datetime.date.fromisoformat(text)
@@ -110,7 +104,7 @@ def _prepare(args):
         return split_and_normalize(ds, split)
     scaler = MinMaxScaler.fit(ds.rows())
     dist = EmpiricalDistribution(atoms=scaler.transform(ds.rows()),
-                                 n=24, m=24)
+                                 n=HOURS, m=HOURS)
     return dist, None, scaler
 
 
@@ -121,10 +115,10 @@ def _fit_doc(fit, alpha, radius, scaler, data_info) -> dict:
         "method": fit.method,
         "alpha": alpha,
         "radius": radius,
-        "value": _num(fit.optimal_value),
-        "gamma": _num(fit.gamma),
-        "tau": _num(fit.tau),
-        "cross_check_gap": _num(fit.cross_check_gap),
+        "value": json_number(fit.optimal_value),
+        "gamma": json_number(fit.gamma),
+        "tau": json_number(fit.tau),
+        "cross_check_gap": json_number(fit.cross_check_gap),
         "boundary_gamma": bool(fit.boundary_gamma),
         "solve_time_s": float(fit.solve_time),
         "iterations": int(fit.iterations),
@@ -165,15 +159,21 @@ def _cmd_fit(args) -> int:
 def _read_fit_result(path):
     """The estimator and scaler of a fit_result document at ``path``.
 
-    A document of another kind, one without the estimator or the
-    normalization, or one whose estimator is not 24x24 or whose
-    normalization vectors are not of length 48, hold an entry that is not
-    a finite number (``null``, ``NaN``, ``Infinity``) or have a maximum
-    below its minimum, is a DataError.  A maximum equal to its minimum is
-    a constant training coordinate and is kept.
+    A file that is not UTF-8 JSON, a document of another kind, one
+    without the estimator or the normalization, or one whose estimator is
+    not HOURS x HOURS or whose normalization vectors are not of length
+    2 * HOURS, hold an entry that is not a finite number (``null``, ``NaN``,
+    ``Infinity``) or have a maximum below its minimum, is a DataError.  A
+    maximum equal to its minimum is a constant training coordinate and is
+    kept.
     """
-    with open(path) as fh:
-        fit_doc = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            fit_doc = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not JSON: {exc}") from None
     if not isinstance(fit_doc, dict) or fit_doc.get("kind") != "fit_result":
         raise DataError(f"{path}: not a fit_result document")
     norm = fit_doc.get("normalization")
@@ -189,11 +189,13 @@ def _read_fit_result(path):
         raise DataError(f"{path}: fit_result lacks {exc}") from None
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed fit_result: {exc}") from None
-    if est.A.shape != (24, 24):
+    if est.A.shape != (HOURS, HOURS):
         raise DataError(f"{path}: estimator is {est.n}x{est.m}, expected "
-                        "24x24")
-    if scaler.minimum.shape != (48,) or scaler.maximum.shape != (48,):
-        raise DataError(f"{path}: normalization vectors must have length 48")
+                        f"{HOURS}x{HOURS}")
+    if scaler.minimum.shape != (2 * HOURS,) \
+            or scaler.maximum.shape != (2 * HOURS,):
+        raise DataError(f"{path}: normalization vectors must have length "
+                        f"{2 * HOURS}")
     if not np.isfinite([scaler.minimum, scaler.maximum]).all():
         raise DataError(f"{path}: normalization vectors must be finite")
     swapped = np.flatnonzero(scaler.maximum < scaler.minimum)
@@ -215,16 +217,16 @@ def _cmd_eval(args) -> int:
         if not mask.any():
             raise DataError(f"no days on or after {args.split_date}")
     rows = scaler.transform(ds.rows()[mask])
-    test = EmpiricalDistribution(atoms=rows, n=24, m=24)
+    test = EmpiricalDistribution(atoms=rows, n=HOURS, m=HOURS)
     metrics = evaluate_out_of_sample(est, test, alpha, scaler)
     doc = {
         "kind": "eval_metrics",
         "alpha": metrics.alpha,
         "n_test": metrics.n_test,
-        "oos_cvar": _num(metrics.cvar),
-        "oos_mse": _num(metrics.mse),
-        "oos_cvar_original": _num(metrics.cvar_original),
-        "oos_mse_original": _num(metrics.mse_original),
+        "oos_cvar": json_number(metrics.cvar),
+        "oos_mse": json_number(metrics.mse),
+        "oos_cvar_original": json_number(metrics.cvar_original),
+        "oos_mse_original": json_number(metrics.mse_original),
         "data": {"path": args.data},
     }
     _emit(doc, args.out)
@@ -269,15 +271,13 @@ def _cmd_sweep(args) -> int:
     report = radius_sweep(train, test, alpha, radii, settings=settings,
                           scaler=scaler, threads=args.threads)
     doc = {"kind": "sweep_report", **report.to_dict()}
-    for row in doc["rows"]:
-        for key in ("in_sample", "oos_cvar", "oos_mse", "gamma",
-                    "oos_cvar_original", "oos_mse_original"):
-            row[key] = _num(row[key])
     doc["data"] = {"path": args.data, "split_date": args.split_date,
                    "train_days": train.size, "test_days": test.size}
     files = {}
+    json_path = None
     if args.out:
         base = args.out[:-5] if args.out.endswith(".json") else args.out
+        json_path = base + ".json"
         csv_path = base + ".csv"
         plot_path = base + "_plot.csv"
         report.to_csv(csv_path)
@@ -293,8 +293,7 @@ def _cmd_sweep(args) -> int:
                 fh.write(",".join(cells) + "\n")
         files = {"csv": csv_path, "plot_csv": plot_path}
     doc["files"] = files
-    _emit(doc, args.out if args.out and args.out.endswith(".json")
-          else (args.out + ".json" if args.out else None))
+    _emit(doc, json_path)
     return EXIT_OK
 
 
@@ -313,13 +312,13 @@ def _cmd_check_dual(args) -> int:
         "kind": "check_dual",
         "alpha": args.alpha,
         "radius": args.radius,
-        "sdp_value": _num(fit.optimal_value),
-        "dual_value": _num(fit.certificate.value),
-        "gap": _num(fit.cross_check_gap),
+        "sdp_value": json_number(fit.optimal_value),
+        "dual_value": json_number(fit.certificate.value),
+        "gap": json_number(fit.cross_check_gap),
         "tol": tol,
         "ok": ok,
-        "gamma_sdp": _num(fit.gamma),
-        "gamma_dual": _num(fit.certificate.gamma_star),
+        "gamma_sdp": json_number(fit.gamma),
+        "gamma_dual": json_number(fit.certificate.gamma_star),
         "boundary_gamma": bool(fit.boundary_gamma),
         "data": {"path": args.data},
     }
@@ -446,7 +445,7 @@ def dispatch(argv) -> int:
     except _UsageError as exc:
         _emit({"kind": "error", "error": str(exc), "exit_code": EXIT_USAGE})
         return EXIT_USAGE
-    except (DataError, OSError, json.JSONDecodeError) as exc:
+    except (DataError, OSError) as exc:
         _emit({"kind": "error", "error": str(exc), "exit_code": EXIT_DATA})
         return EXIT_DATA
     except FitError as exc:

@@ -292,6 +292,14 @@ def evaluate_out_of_sample(est: AffineEstimator, test: EmpiricalDistribution,
                       cvar_original=cvar_orig, mse_original=mse_orig)
 
 
+def json_number(value):
+    """JSON-safe number: non-finite floats become null."""
+    if value is None:
+        return None
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 @dataclass(frozen=True)
 class SweepRow:
     radius: float
@@ -336,16 +344,19 @@ class SweepReport:
         return series
 
     def to_dict(self) -> dict:
+        """The report as JSON values: non-finite numbers become null."""
         return {
             "alpha": self.alpha,
             "rows": [
                 {
                     "radius": r.radius, "method": r.method,
-                    "in_sample": r.in_sample_value, "oos_cvar": r.oos_cvar,
-                    "oos_mse": r.oos_mse, "gamma": r.gamma,
+                    "in_sample": json_number(r.in_sample_value),
+                    "oos_cvar": json_number(r.oos_cvar),
+                    "oos_mse": json_number(r.oos_mse),
+                    "gamma": json_number(r.gamma),
                     "solve_time_s": r.solve_time, "status": r.status,
-                    "oos_cvar_original": r.oos_cvar_original,
-                    "oos_mse_original": r.oos_mse_original,
+                    "oos_cvar_original": json_number(r.oos_cvar_original),
+                    "oos_mse_original": json_number(r.oos_mse_original),
                 }
                 for r in self.rows
             ],

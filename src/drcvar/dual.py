@@ -31,12 +31,7 @@ closed-form upper end brackets the minimizer, and safeguarded Newton steps
 on the slope equation shrink the bracket until the convexity gap closes.
 
 This module is the cross-validation path for the semidefinite formulation:
-it shares no code with the conic solver beyond the CVaR primitive.  Its
-gamma search (:func:`gamma_search`) also sets where the solver starts:
-:func:`drcvar.sdp.build_drcvar_sdp` scales gamma's rows of the atom blocks
-by the gamma* of the constant estimator (see :mod:`drcvar.sdp`).  That
-only moves the start; the optimum, and the cross-check of the fitted
-estimator, which runs its own search, stay independent of it.
+it shares no code with the conic solver beyond the CVaR primitive.
 """
 from __future__ import annotations
 
@@ -288,42 +283,19 @@ def _slope_search(a: _Trial, b: _Trial, rate: float, trial) -> _Trial:
             best = last
 
 
-def gamma_search(qf: QuadraticForm, dist: EmpiricalDistribution,
-                 spec: RiskSpec) -> tuple[GammaDomain, _Trial, _Trial]:
-    """Minimize :func:`dual_objective` over feasible gamma (radius > 0).
-
-    Returns the domain, the trial at its search start and the best trial.
-    If the slope at the search start is nonnegative, the minimizer is the
-    start itself.  Otherwise :func:`_bracket_end` gives a gamma where the
-    slope is nonnegative, and :func:`_slope_search` shrinks that bracket
-    until the best value found is within ``_GAP_TOL`` of the convexity
-    lower bound.
-    """
-    dom = gamma_domain(qf)
-    terms = _loss_terms(qf, dist.atoms)
-
-    def trial(gamma):
-        return _trial(gamma, terms, qf, spec)
-
-    best = start = trial(dom.search_start())
-    if start.slope < 0.0:
-        best = end = trial(max(_bracket_end(dom, terms[1], spec), start.gamma))
-        if end.slope >= 0.0:
-            best = _slope_search(start, end, spec.radius**2 / spec.alpha,
-                                 trial)
-    return dom, start, best
-
-
 def worst_case_cvar(qf: QuadraticForm, dist: EmpiricalDistribution,
                     spec: RiskSpec) -> DualCertificate:
     """Worst-case CVaR of a quadratic loss over the transport ball.
 
-    Minimizes :func:`dual_objective` over feasible gamma by
-    :func:`gamma_search`.  ``at_boundary`` is set when the minimizer is
-    the search start and the domain's lower boundary is open.  The value
-    is :func:`dual_objective` at gamma_star, and the two-variable dual
-    form, evaluated at gamma_star and the optimal CVaR threshold, is
-    asserted to agree with it.
+    Minimizes :func:`dual_objective` over feasible gamma by a search on its
+    slope.  If the slope at the search start is nonnegative, the minimizer
+    is the start itself, and ``at_boundary`` is set when the domain's lower
+    boundary is open.  Otherwise :func:`_bracket_end` gives a gamma where
+    the slope is nonnegative, and :func:`_slope_search` shrinks that bracket
+    until the best value found is within ``_GAP_TOL`` of the convexity
+    lower bound.  The value is :func:`dual_objective` at gamma_star, and
+    the two-variable dual form, evaluated at gamma_star and the optimal
+    CVaR threshold, is asserted to agree with it.
 
     Raises
     ------
@@ -338,7 +310,18 @@ def worst_case_cvar(qf: QuadraticForm, dist: EmpiricalDistribution,
     if qf.dim != dist.dim:
         raise ValueError(f"form dimension {qf.dim} != atom dimension {dist.dim}")
 
-    dom, start, best = gamma_search(qf, dist, spec)
+    dom = gamma_domain(qf)
+    terms = _loss_terms(qf, dist.atoms)
+
+    def trial(gamma):
+        return _trial(gamma, terms, qf, spec)
+
+    best = start = trial(dom.search_start())
+    if start.slope < 0.0:
+        best = end = trial(max(_bracket_end(dom, terms[1], spec), start.gamma))
+        if end.slope >= 0.0:
+            best = _slope_search(start, end, spec.radius**2 / spec.alpha,
+                                 trial)
     gamma_star = best.gamma
 
     value = dual_objective(gamma_star, qf, dist, spec)

@@ -51,9 +51,18 @@ Start scale
 The solver starts every block at eta I, eta = max(1, ||M0||_F), while the
 optimal gamma grows like 1/radius: at small radii the iterates then creep
 toward it by a few percent per iteration.  So the builder takes g0, the
-gamma* of the constant estimator A = 0, b = mean of the x_i, from the dual
-path's gamma search (:func:`drcvar.dual.gamma_search`), and when
-g0 > 2 eta it emits the atom blocks after the congruence
+gamma* of the constant estimator A = 0, b = x_bar = mean of the x_i, in
+closed form:
+
+- F = [-I_n, 0], so Q = F'F has one nonzero eigenvalue, 1, on the x's;
+- every transformed loss plus the constant is gamma/(gamma-1) ||e_i||^2,
+  here e_i = x_i - x_bar;
+- CVaR is positively homogeneous, so the dual objective of
+  :mod:`drcvar.dual` is gamma r^2/alpha + gamma/(gamma-1) C0 with
+  C0 = CVaR_alpha of the ||e_i||^2;
+- its minimizer over gamma > 1 is g0 = 1 + sqrt(alpha C0) / r.
+
+When g0 > 2 eta the builder emits the atom blocks after the congruence
 D = diag(1, g0^-1/2 I_d, I_n):
 
     [[tau + s_i, 0,                   e_i'         ],
@@ -67,9 +76,10 @@ becomes I_d / g0, and the -I entries of M0 and the slot's F' rows of C
 are scaled by g0^-1/2.  The gate leaves the programs where gamma* is of
 the order of eta alone: on the day-ahead reference fit (N = 30, alpha =
 0.1, r = 0.01) g0 / eta is about 1.1, and scaling there costs iterations;
-at N = 30 with alpha = 1 it is about 2.5.  g0 is capped so that 1 / g0
-stays a normal float, and a g0 that is not finite leaves the program
-unscaled.  ``meta["gamma_scale"]`` holds the g0 applied (1.0 when none).
+at N = 30 with alpha = 1 it is about 2.5.  g0 is capped at 2^1022 so
+that 1 / g0 stays a normal float (the quotient overflows to inf below
+r of about 1e-308), and a NaN g0 leaves the program unscaled.
+``meta["gamma_scale"]`` holds the g0 applied (1.0 when none).
 
 At radius zero the ball holds only the nominal distribution, and the
 program is empirical CVaR minimization: the same assembly without gamma,
@@ -106,14 +116,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .dual import gamma_search
 from .kernels import pair_index
-from .model import (
-    AffineEstimator,
-    EmpiricalDistribution,
-    RiskSpec,
-    affine_to_quadratic,
-)
+from .model import AffineEstimator, EmpiricalDistribution, RiskSpec
+from .risk import cvar_discrete
 
 
 @dataclass(frozen=True)
@@ -270,19 +275,19 @@ class SdpProblem:
 
 
 def _constant_gamma(dist: EmpiricalDistribution, spec: RiskSpec) -> float:
-    """gamma* of the constant estimator A = 0, b = mean of the x_i."""
-    const = AffineEstimator(A=np.zeros((dist.n, dist.m)),
-                            b=dist.x.mean(axis=0))
-    return gamma_search(affine_to_quadratic(const), dist, spec)[2].gamma
+    """gamma* of the constant estimator A = 0, b = x_bar = mean of the
+    x_i: 1 + sqrt(alpha C0) / r, C0 the CVaR of the ||x_i - x_bar||^2
+    (see the module docstring)."""
+    resid = dist.x - dist.x.mean(axis=0)
+    c0 = cvar_discrete(np.einsum("ij,ij->i", resid, resid), spec.alpha).cvar
+    return 1.0 + math.sqrt(spec.alpha * c0) / spec.radius
 
 
 def _start_scale(g0: float, eta: float) -> float:
     """The g0 of the start-scale congruence, or 1.0 for none (see the
-    module docstring): g0 when it is finite and above 2 eta, capped so
-    that 1 / g0 is a normal float."""
-    if not (math.isfinite(g0) and g0 > 2.0 * eta):
-        return 1.0
-    return min(g0, 1.0 / sys.float_info.min)
+    module docstring): g0 when it is above 2 eta, capped so that 1 / g0
+    is a normal float."""
+    return min(g0, 1.0 / sys.float_info.min) if g0 > 2.0 * eta else 1.0
 
 
 def build_drcvar_sdp(dist: EmpiricalDistribution, spec: RiskSpec) -> SdpProblem:

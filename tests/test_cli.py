@@ -279,6 +279,19 @@ class TestErrors:
                                      "--method", "nominal_mse"])
         assert code == doc["exit_code"] == EXIT_DATA
         assert str(bad) in doc["error"]
+        # the same for a fit_result that is not UTF-8, or not JSON
+        fit_path = tmp_path / "fit.json"
+        run_cli(capsys, ["fit", "--data", str(synth_csv),
+                         "--method", "nominal_mse", "--out", str(fit_path)])
+        for name, content in (("utf16.json",
+                               b"\xff\xfe" + fit_path.read_bytes()),
+                              ("truncated.json", fit_path.read_bytes()[:-20])):
+            bad = tmp_path / name
+            bad.write_bytes(content)
+            code, doc = run_cli(capsys, ["eval", "--data", str(synth_csv),
+                                         "--estimator", str(bad)])
+            assert code == doc["exit_code"] == EXIT_DATA
+            assert str(bad) in doc["error"]
 
     def test_solver_error_names_status(self, capsys, synth_csv, monkeypatch):
         solve = drcvar.estimate.solve_sdp

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from drcvar import sdp
+from drcvar import dual, sdp
 from drcvar.conic import solve_sdp
 from drcvar.data import SpikyConfig, split_and_normalize, synth_spiky
 from drcvar.model import (
@@ -418,13 +418,50 @@ class TestStartScale:
     def test_gate_and_cap(self):
         eta = 3.0
         assert sdp._start_scale(float("nan"), eta) == 1.0
-        assert sdp._start_scale(float("inf"), eta) == 1.0
+        # the closed form's quotient overflows to inf below r ~ 1e-308
+        assert sdp._start_scale(float("inf"), eta) == 2.0**1022
         assert sdp._start_scale(2.0 * eta, eta) == 1.0
         assert sdp._start_scale(7.0, eta) == 7.0
         # 1 / g0 stays a normal float however large gamma* gets
         big = sdp._start_scale(1e308, eta)
         assert big == 2.0**1022
         assert 1.0 / big >= sys.float_info.min
+
+    @pytest.mark.parametrize("constant", [False, True],
+                             ids=["as_generated", "constant_coordinates"])
+    def test_closed_form_matches_the_dual_search(self, constant):
+        # g0 = 1 + sqrt(alpha C0) / r is the gamma* that the dual path's
+        # search finds for the constant estimator; 1e-6 is that search's
+        # widened bracket end, reached when one atom leads the CVaR
+        dist = day_ahead(30)
+        if constant:
+            atoms = dist.atoms.copy()
+            atoms[:, [3, 30]] = 0.5
+            dist = EmpiricalDistribution(atoms=atoms, n=dist.n, m=dist.m)
+        qf = affine_to_quadratic(AffineEstimator(
+            A=np.zeros((dist.n, dist.m)), b=dist.x.mean(axis=0)))
+        for alpha in (0.9 / dist.size, 1.0 / dist.size, 0.1, 1.0):
+            for radius in (1e-8, 1e-4, 1e-2, 1.0):
+                spec = RiskSpec(alpha=alpha, radius=radius)
+                expected = dual.worst_case_cvar(qf, dist, spec).gamma_star
+                assert sdp._constant_gamma(dist, spec) == pytest.approx(
+                    expected, rel=1e-6)
+
+    def test_builder_does_not_run_the_dual_path(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the builder called the dual path")
+
+        for name in ("gamma_domain", "_trial", "worst_case_cvar"):
+            monkeypatch.setattr(dual, name, fail)
+        dist = day_ahead(30)
+        spec = RiskSpec(alpha=1.0, radius=1e-8)
+        prob = build_drcvar_sdp(dist, spec)
+        assert prob.meta["gamma_scale"] == sdp._constant_gamma(dist, spec)
+        assert prob.meta["gamma_scale"] > 2.0
+
+    def test_subnormal_radius_is_capped(self):
+        _, prob = small_problem(n=2, m=3, big_n=4, radius=1e-310)
+        assert prob.meta["gamma_scale"] == 2.0**1022
 
     @pytest.mark.parametrize("kind", ["radius_zero", "gated_off",
                                       "day_ahead_reference"])
