@@ -5,7 +5,9 @@ BENCH_fit.json.
 Workloads, all on ``synth_spiky(SpikyConfig(days=N+10), seed=1)`` split at
 day N (n = m = 24), alpha = 0.1:
 
-- ``fit_n30`` and ``fit_n90``: ``fit_dr_cvar`` at r = 0.01, N = 30 and 90;
+- ``fit_n12``, ``fit_n30`` and ``fit_n90``: ``fit_dr_cvar`` at r = 0.01,
+  N = 12, 30 and 90; at N = 12 < m the observations span 12 dimensions,
+  and the fit solves the program reduced to that span;
 - ``sweep_n30``: ``radius_sweep`` at N = 30 over the 5 radii 1e-3 ... 10,
   on one thread, so ``dr_cvar`` and ``dr_mse`` at each radius: 10 fits;
 - ``small_r_n30``: the same sweep over the small radii 1e-8, 1e-6 and
@@ -53,10 +55,12 @@ def reference_data(big_n):
 
 
 def workloads():
+    train12, _, _ = reference_data(12)
     train30, test30, scaler30 = reference_data(30)
     train90, _, _ = reference_data(90)
     spec = drcvar.RiskSpec(alpha=ALPHA, radius=FIT_RADIUS)
     return {
+        "fit_n12": lambda: estimate.fit_dr_cvar(train12, spec),
         "fit_n30": lambda: estimate.fit_dr_cvar(train30, spec),
         "fit_n90": lambda: estimate.fit_dr_cvar(train90, spec),
         "sweep_n30": lambda: radius_sweep(train30, test30, ALPHA, SWEEP_RADII,

@@ -14,6 +14,19 @@ Four fitting modes share the FitResult contract:
 Both conic fits go through one certified path, and both raise when their
 cross-check gap exceeds :data:`CROSS_CHECK_TOL`.  A zero-radius request at
 alpha = 1 is routed to the closed-form least squares fit.
+
+Short windows are fitted on the span of the observations.  Let V (m x r)
+be an orthonormal basis of span{y_i} with 1 <= r < m, as in every window
+of fewer than m atoms.  A distribution of the transport ball pushed forward
+by (x, y) -> (x, V V'y) stays in the ball, since y_i = V V'y_i and the
+projection does not lengthen y - y_i, and the loss of A at the pushed point
+is the loss of A V V' at the original one.  So A V V' is no worse than A,
+and the optimum is attained at some A = A~ V', whose worst case over the
+ball around the (x_i, y_i) is that of A~ over the ball around the
+(x_i, V'y_i).  The conic program is built on those reduced atoms: n(r+1)
+estimator variables and atom blocks of size 1 + n + r + n instead of
+1 + n + m + n.  The cross-check still reads the full distribution and the
+full A = A~ V'.
 """
 from __future__ import annotations
 
@@ -111,12 +124,42 @@ def fit_dr_cvar(dist: EmpiricalDistribution, spec: RiskSpec,
     return _certified_fit(dist, spec, settings)
 
 
+def _observation_basis(y: np.ndarray) -> np.ndarray | None:
+    """Orthonormal basis V (m x r) of the span of the rows of y, or None
+    when r is 0 or m.
+
+    V holds the leading right singular vectors, r counted with the
+    tolerance of ``np.linalg.matrix_rank``.  A rank-revealing basis matters:
+    a QR basis of a rank-deficient y keeps a column with no observation
+    along it, and nothing in the conic program bounds A~'s matching column.
+    """
+    _, sv, vt = np.linalg.svd(y, full_matrices=False)
+    tol = sv.max(initial=0.0) * max(y.shape) * np.finfo(y.dtype).eps
+    rank = int(np.count_nonzero(sv > tol))
+    if rank == 0 or rank == y.shape[1]:
+        return None
+    return vt[:rank].T
+
+
 def _certified_fit(dist: EmpiricalDistribution, spec: RiskSpec,
                    settings: SolverSettings | None) -> FitResult:
     """Solve the CVaR SDP and check its value: against the dual path when
-    the radius is positive, against the empirical CVaR when it is zero."""
+    the radius is positive, against the empirical CVaR when it is zero.
+
+    When the y_i span r < m dimensions (r >= 1), the program is built on
+    the atoms (x_i, V'y_i) and the fit returns A = A~ V'.  The pushforward
+    (x, y) -> (x, V V'y) does not increase the transport cost, and the loss
+    of A at the pushed point is the loss of A V V' at the original one, so
+    the worst case of A V V' is at most that of A (module docstring).
+    Otherwise, r = 0 included, the program is built on the caller's
+    distribution as it is.
+    """
     t0 = time.perf_counter()
-    problem = build_drcvar_sdp(dist, spec)
+    basis = _observation_basis(dist.y)
+    reduced = dist if basis is None else EmpiricalDistribution(
+        atoms=np.hstack([dist.x, dist.y @ basis]), n=dist.n,
+        m=basis.shape[1])
+    problem = build_drcvar_sdp(reduced, spec)
     method = problem.meta["kind"]
     sol = solve_sdp(problem, settings)
     if sol.status != "optimal":
@@ -131,6 +174,8 @@ def _certified_fit(dist: EmpiricalDistribution, spec: RiskSpec,
     except RuntimeError as exc:
         raise FitError(f"{method} fit failed: {exc}", solution=sol,
                        status="validation") from exc
+    if basis is not None:
+        est = AffineEstimator(A=est.A @ basis.T, b=est.b)
     value = sol.objective_value
     elapsed = time.perf_counter() - t0
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from drcvar.conic import solve_sdp
 from drcvar.data import SpikyConfig, split_and_normalize, synth_spiky
 from drcvar.dual import worst_case_cvar, worst_case_mse_closed
 from drcvar.estimate import (
@@ -25,6 +26,7 @@ from drcvar.model import (
     loss_batch,
 )
 from drcvar.risk import cvar_discrete
+from drcvar.sdp import build_drcvar_sdp
 
 SEED = 2718
 
@@ -257,6 +259,97 @@ def test_day_ahead_alpha_one_at_a_tiny_radius_is_optimal():
     res = fit_dr_cvar(train, RiskSpec(alpha=1.0, radius=1e-8))
     assert res.iterations <= 40
     assert res.cross_check_gap <= CROSS_CHECK_TOL * (1.0 + abs(res.optimal_value))
+
+
+def day_ahead_window(big_n):
+    """The reference data's first big_n days: n = m = 24, N = big_n."""
+    ds = synth_spiky(SpikyConfig(days=big_n + 10), seed=1)
+    return split_and_normalize(ds, ds.dates[big_n])[0]
+
+
+class TestObservationSpan:
+    # observations spanning r < m dimensions: the fit solves the program on
+    # the reduced atoms (x_i, V'y_i) and returns A = A~ V'
+
+    @pytest.mark.parametrize("big_n", [6, 12])
+    def test_reduced_fit_matches_the_full_program(self, big_n):
+        train = day_ahead_window(big_n)
+        rank = np.linalg.matrix_rank(train.y)
+        assert rank < train.m
+        basis = np.linalg.svd(train.y)[2][:rank].T
+        for alpha in (0.1, 1.0):
+            for radius in (0.0, 1e-4, 1e-2, 1.0):
+                spec = RiskSpec(alpha=alpha, radius=radius)
+                fit = (fit_nominal_cvar(train, alpha) if radius == 0.0
+                       else fit_dr_cvar(train, spec))
+                full = solve_sdp(build_drcvar_sdp(train, spec))
+                assert full.status == "optimal"
+                value = fit.optimal_value
+                assert abs(value - full.objective_value) \
+                    <= 1e-7 * (1.0 + abs(value)), (alpha, radius)
+                a_mat = fit.estimator.A
+                assert np.linalg.norm(a_mat - a_mat @ basis @ basis.T) \
+                    <= 1e-12 * np.linalg.norm(a_mat)
+
+    def test_rank_deficient_window_passes_its_cross_check(self):
+        # the first 6-day window of a 25-day history, normalized on its own
+        # days, as perfbench's fit_n6 builds it: 6 atoms of rank 5, one of
+        # them y = 0.  A basis with a column outside the span of the y_i (a
+        # full-column QR basis, for one) leaves that column of A~ free at
+        # radius zero, and the empirical CVaR of the returned A then misses
+        # the conic value
+        ds = synth_spiky(SpikyConfig(days=25), seed=1)
+        mask = np.zeros(ds.days, dtype=bool)
+        mask[:7] = True
+        train, _, _ = split_and_normalize(ds.subset(mask), ds.dates[6])
+        assert train.size == 6
+        assert np.linalg.matrix_rank(train.y) == 5
+        fit = fit_nominal_cvar(train, 0.1)
+        assert fit.cross_check_gap <= CROSS_CHECK_TOL * (
+            1.0 + abs(fit.optimal_value))
+
+    @pytest.mark.parametrize("radius", [0.0, 0.3])
+    def test_zero_observations_keep_the_full_program(self, monkeypatch,
+                                                     radius):
+        # rank 0: there is no span to reduce to, and the fit solves the
+        # caller's program as it is
+        rng = np.random.default_rng(SEED + 16)
+        dist = EmpiricalDistribution(
+            atoms=np.hstack([rng.standard_normal((4, 2)), np.zeros((4, 3))]),
+            n=2, m=3)
+        spec = RiskSpec(alpha=0.5, radius=radius)
+
+        def build(dist, spec):
+            built.append(dist)
+            return build_drcvar_sdp(dist, spec)
+
+        built = []
+        monkeypatch.setattr("drcvar.estimate.build_drcvar_sdp", build)
+        fit = (fit_nominal_cvar(dist, 0.5) if radius == 0.0
+               else fit_dr_cvar(dist, spec))
+        assert len(built) == 1 and built[0] is dist
+        direct = solve_sdp(build_drcvar_sdp(dist, spec))
+        assert fit.optimal_value == direct.objective_value
+        assert fit.iterations == direct.iterations
+
+    def test_full_rank_observations_keep_the_callers_distribution(
+            self, monkeypatch):
+        # N = 30 >= m: rank 24, so the program is the caller's, unreduced
+        train = day_ahead_window(30)
+        assert np.linalg.matrix_rank(train.y) == train.m
+
+        class Built(Exception):
+            pass
+
+        def build(dist, spec):
+            built.append(dist)
+            raise Built
+
+        built = []
+        monkeypatch.setattr("drcvar.estimate.build_drcvar_sdp", build)
+        with pytest.raises(Built):
+            fit_dr_cvar(train, RiskSpec(alpha=0.1, radius=0.01))
+        assert len(built) == 1 and built[0] is train
 
 
 class TestSettingsAndErrors:
