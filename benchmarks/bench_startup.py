@@ -1,19 +1,25 @@
 #!/usr/bin/env python3
-"""Time fresh processes that do not solve; append to BENCH_startup.json.
+"""Time fresh processes of the package's commands; append to
+BENCH_startup.json.
 
-Two commands, each run ``RUNS`` = 7 times in new interpreters, taking turns:
+Three commands, each run ``RUNS`` = 7 times in new interpreters, taking
+turns:
 
-``import``    ``python -c "import drcvar"``
-``gen_data``  ``python -m drcvar.cli gen-data --days 10 --seed 1 --out F``
+``import``       ``python -c "import drcvar"``
+``gen_data``     ``python -m drcvar.cli gen-data --days 10 --seed 1 --out F``
+``fit_dr_cvar``  ``python -m drcvar.cli fit --data D --alpha 0.1
+                 --radius 0.01 --out J``, D a 10-day ``gen-data`` file
+                 (seed 2) written once before the timed runs
 
-Neither makes a conic solve, so neither needs SciPy; their wall time is
-mostly interpreter and import start-up, the cost paid by every set-up
-process of a pipeline (perfbench's ``--prepare`` and ``gen-data``
-processes among them).  The record holds each command's median and every
-run's seconds, wall clock from spawn to exit.  The entry appended to the
-file also records the label, the date, NumPy, SciPy, the BLAS library, the
-BLAS thread variables and the core count.  BLAS thread variables left unset
-are set to 1, for this process and the ones it starts.
+The first two make no conic solve; their wall time is mostly interpreter
+and import start-up, the cost paid by every set-up process of a pipeline
+(perfbench's ``--prepare`` and ``gen-data`` processes among them).  The fit
+makes one: it is what each process of a chain of fits pays, solver
+imports included.  The record holds each command's median and every run's
+seconds, wall clock from spawn to exit.  The entry appended to the file
+also records the label, the date, NumPy, SciPy, the BLAS library, the BLAS
+thread variables and the core count.  BLAS thread variables left unset are
+set to 1, for this process and the ones it starts.
 
 To compare two checkouts, run the script with ``PYTHONPATH`` at each
 checkout's ``src`` in turn; the machine's speed drifts, so alternate them.
@@ -34,19 +40,30 @@ from record import append_entry  # sets the BLAS threads of the commands
 RUNS = 7
 
 
-def commands(out_path):
-    """The timed commands by name, as argument lists."""
+def cli(*args):
+    return [sys.executable, "-m", "drcvar.cli", *args]
+
+
+def commands(tmp):
+    """The timed commands by name, as argument lists, with the fit's data
+    written to ``tmp``."""
+    fit_data = os.path.join(tmp, "fit_data.csv")
+    subprocess.run(cli("gen-data", "--days", "10", "--seed", "2", "--out",
+                       fit_data), check=True, stdout=subprocess.DEVNULL)
     return {
         "import": [sys.executable, "-c", "import drcvar"],
-        "gen_data": [sys.executable, "-m", "drcvar.cli", "gen-data",
-                     "--days", "10", "--seed", "1", "--out", out_path],
+        "gen_data": cli("gen-data", "--days", "10", "--seed", "1", "--out",
+                        os.path.join(tmp, "data.csv")),
+        "fit_dr_cvar": cli("fit", "--data", fit_data, "--alpha", "0.1",
+                           "--radius", "0.01", "--out",
+                           os.path.join(tmp, "fit.json")),
     }
 
 
 def timed_runs(runs):
     """Seconds per run of each command; the commands take turns."""
     with tempfile.TemporaryDirectory() as tmp:
-        cmds = commands(os.path.join(tmp, "data.csv"))
+        cmds = commands(tmp)
         seconds = {name: [] for name in cmds}
         for _ in range(runs):
             for name, argv in cmds.items():

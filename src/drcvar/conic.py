@@ -2,14 +2,14 @@
 
 Solves ``minimize c'x  s.t.  S_j(x) = M0_j + sum_k x_k Mk_j  PSD`` with an
 infeasible-start Mehrotra predictor-corrector method.  Each iteration
-computes Nesterov-Todd scaling per block from Cholesky factors and one SVD
-(retried with LAPACK's ``gesvd`` driver when the default ``gesdd`` fails to
-converge), factors the dense normal (Schur-complement) matrix once, and
-takes two directions through one routine: the predictor (affine scaling,
-step fraction 1), whose step lengths set sigma = (mu_aff / mu)^3, and the
-corrector (centering at sigma * mu plus the second-order term), taken with
-one step length for both sides.  A direction's primal and dual step
-lengths come from the spectra of Lambda^-1/2 dS~ Lambda^-1/2 and
+computes Nesterov-Todd scaling per block from Cholesky factors and one
+symmetric eigensolve (:func:`_nt_scaling`; the SVD when the eigensolve
+fails to converge), factors the dense normal (Schur-complement) matrix
+once, and takes two directions through one routine: the predictor (affine
+scaling, step fraction 1), whose step lengths set sigma = (mu_aff / mu)^3,
+and the corrector (centering at sigma * mu plus the second-order term),
+taken with one step length for both sides.  A direction's primal and dual
+step lengths come from the spectra of Lambda^-1/2 dS~ Lambda^-1/2 and
 Lambda^-1/2 dZ~ Lambda^-1/2, dS~ = G^-1 dS G^-T and dZ~ = G' dZ G being
 the scaled directions, by one batched ``eigvalsh`` per block stack.  The
 predictor's dZ~ is -Lambda - dS~, so its dual spectrum is -1 minus its
@@ -35,22 +35,16 @@ batched LAPACK calls instead of Python loops, the affine map and its
 adjoint are the stack's own, and the normal matrix is assembled by one
 :func:`drcvar.kernels.schur_accumulate` call per stack, with the pair
 index arrays built once per stack and kept with it.  The normal
-matrix H, the buffer of its Cholesky factor and the Jacobi scale
-jac = sqrt(diag H) are allocated once per solve, so no iteration makes a
-K x K temporary.  H is assembled, checked once for finite entries and
-equilibrated in place to H[i,j] / jac_i / jac_j, the one frame the normal
-equations are solved in (for jac * dx).  A factorization copies it (plus
-any ridge) into the buffer, whose transpose, H being symmetric, LAPACK
-factors in place as far as SciPy allows (``overwrite_a`` is a permission,
-not a promise, so the solves use the factor it returns); the solves skip
-the finiteness scan.  Determinism over scalability: sized for problems up
-to a few hundred variables and blocks below ~100x100.
-
-SciPy is loaded at the first solve, not when this module is imported:
-``solve_sdp`` imports ``scipy.linalg`` for ``cho_factor`` and
-``cho_solve`` (NumPy has no triangular solve), as does the ``gesvd``
-retry.  A process that never solves (``import drcvar``, ``drcvar
-gen-data``, ``drcvar eval``, a least-squares fit) never imports SciPy.
+matrix H and the Jacobi scale jac = sqrt(diag H) are allocated once per
+solve.  H is assembled, checked once for finite entries and equilibrated
+in place to H[i,j] / jac_i / jac_j, the one frame the normal equations are
+solved in (for jac * dx).  It is factored as H = L L' by NumPy's Cholesky
+(plus any ridge, in a copy), with the inverses of L's diagonal blocks of
+``_LEAF`` rows (:func:`_cholesky_factor`); NumPy has no triangular solve,
+so each solve and refinement step is a block forward and back
+substitution through those inverses (:func:`_cholesky_solve`).
+Determinism over scalability: sized for problems up to a few hundred
+variables and blocks below ~100x100.  The module needs NumPy alone.
 
 Status classification
 ---------------------
@@ -91,6 +85,9 @@ _MIN_STEP = 1e-10
 # _FRAC_FLOOR + _FRAC_SLOPE * (the previous iteration's step length)
 _FRAC_FLOOR = 0.9
 _FRAC_SLOPE = 0.099
+# the rows of the diagonal blocks of the normal matrix's Cholesky factor
+# that _cholesky_factor inverts
+_LEAF = 64
 
 
 @dataclass(frozen=True)
@@ -159,25 +156,74 @@ def _step_lengths(w_p, w_d, frac):
     return steps
 
 
-def _left_svd(stack):
-    """Left singular vectors and singular values of a stack of matrices.
+def _nt_scaling(l_s, l_z):
+    """Nesterov-Todd scaling of a block stack from the Cholesky factors of
+    S = L_s L_s' and Z = L_z L_z': (G^-1, lambda), with
+    G^-1 = diag(lambda)^-1/2 U' L_z', so that G'ZG = G^-1 S G^-T = diag(lambda)
+    and W^-1 = G^-T G^-1 maps S to Z.
 
-    NumPy's SVD uses LAPACK's divide-and-conquer driver ``gesdd``, which can
-    report non-convergence on finite, moderately conditioned iterates; the
-    QR-iteration driver ``gesvd`` is slower but converges on those.  The
-    retry is live: in perfbench's seed-1 ``fit_n6`` window 3, ``gesdd``
-    (NumPy's and SciPy's OpenBLAS alike) has failed once per fit on a
-    73 x 73 member of condition number 3.6 that ``gesvd``, and ``gesdd`` of
-    the transpose, converge on; whether an iterate trips it moves with its
-    last bits.
+    U and lambda are the left singular vectors and singular values of
+    P = L_z' L_s (Todd, Toh & Tutuncu, SIAM J. Optim. 8, 1998), taken from
+    the eigenvectors of the symmetric P P' = L_z' S L_z.  lambda_j is
+    ||P' u_j||, the column norms of P'U, not the square root of an
+    eigenvalue: lambda_j^2 carries an absolute error of about
+    eps * ||P||^2, which loses every lambda_j below sqrt(eps) * ||P||,
+    while the column norm moves only with the square of the eigenvector's
+    error.  Small lambda_j^2 closer together than eps * ||P||^2, which takes
+    an ill-conditioned P, mix their eigenvectors and are resolved to about
+    eps * cond(P) * ||P|| (the SVD: eps * ||P||).  Near the central path the
+    lambda_j^2, the eigenvalues of SZ, are all close to mu, and P is well
+    conditioned.  When ``eigh`` does not converge, the SVD of P gives U and
+    lambda.
     """
+    l_zt = l_z.transpose(0, 2, 1)
+    p = l_zt @ l_s
+    p_t = p.transpose(0, 2, 1)
     try:
-        u_sv, sig, _ = np.linalg.svd(stack)
+        # descending, the SVD's order, so both lay out the scaled frame alike
+        u = np.linalg.eigh(p @ p_t)[1][..., ::-1].copy()
+        lam = np.linalg.norm(p_t @ u, axis=1)
     except np.linalg.LinAlgError:
-        import scipy.linalg as sla
+        u, lam, _ = np.linalg.svd(p)
+    return (u / np.sqrt(lam)[:, None, :]).transpose(0, 2, 1) @ l_zt, lam
 
-        u_sv, sig, _ = sla.svd(stack, lapack_driver="gesvd")
-    return u_sv, sig
+
+def _cholesky_factor(h):
+    """The Cholesky factor L of h = L L', with the inverses of its diagonal
+    blocks of ``_LEAF`` rows (the last may be smaller), each exactly zero
+    above its diagonal; what :func:`_cholesky_solve` reads.  Raises
+    ``LinAlgError`` when h is not numerically positive definite.
+    """
+    low = np.linalg.cholesky(h)
+    return low, [np.tril(np.linalg.inv(low[a:a + _LEAF, a:a + _LEAF]))
+                 for a in range(0, len(low), _LEAF)]
+
+
+def _cholesky_solve(factor, vec):
+    """h^-1 vec for h = L L', by block forward and back substitution.
+
+    NumPy has no triangular solve.  Each block of ``_LEAF`` unknowns is the
+    inverse of its diagonal block of L (or L') times its right-hand side
+    less the blocks already solved, so only those small inverses are
+    explicit.  The products L^-T (L^-1 vec) with the whole inverse would
+    not be backward stable: on N = 30 normal matrices near convergence
+    (condition 2e15 to 2e18) their relative residuals
+    ||h x - vec|| / (||h|| ||x||) read 1e-15 to 1.5e-14, against 6e-17 to
+    3e-16 by blocks, the level of LAPACK's Cholesky solve; with them, one
+    of the 10 solves of an N = 30 day-ahead radius sweep ran to 200
+    iterations instead of 19.
+    """
+    low, invs = factor
+    blocks = list(zip(range(0, len(vec), _LEAF), invs))
+    y = np.empty_like(vec)
+    for a, inv in blocks:
+        b = a + len(inv)
+        y[a:b] = inv @ (vec[a:b] - low[a:b, :a] @ y[:a])
+    x = np.empty_like(vec)
+    for a, inv in reversed(blocks):
+        b = a + len(inv)
+        x[a:b] = inv.T @ (y[a:b] - low[b:, a:b].T @ x[b:])
+    return x
 
 
 def _cholesky_floored(stack):
@@ -237,8 +283,6 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
     Deterministic: identical problems and settings produce identical iterate
     sequences.  See the module docstring for status semantics.
     """
-    import scipy.linalg as sla
-
     if settings is None:
         settings = SolverSettings()
 
@@ -258,11 +302,9 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
     z_st = [np.repeat(eta_d * np.eye(st.size)[None], st.count, axis=0)
             for st in stacks]
 
-    # per-solve workspace: the normal matrix, the buffer of its factor and
-    # the equilibration scale; local to the call, as radius_sweep solves on
-    # threads
+    # per-solve workspace: the normal matrix and the equilibration scale;
+    # local to the call, as radius_sweep solves on threads
     h_mat = np.empty((k_total, k_total))
-    h_fact = np.empty((k_total, k_total))
     jac = np.empty(k_total)
 
     best = None  # (merit, x, S stacks, Z stacks)
@@ -321,21 +363,18 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
         if not finite or znorm > 1e150 or xnorm > 1e150 or mu <= 0.0:
             return fail("numerical", it)
 
-        # Nesterov-Todd scaling, batched per size group:
-        # G^-1 = diag(sig^-1/2) Usv' Lz', lambda = sig, W^-1 = G^-T G^-1.
+        # Nesterov-Todd scaling, batched per block stack; W^-1 = G^-T G^-1
         g_inv, g_inv_t, lam, u_w, rt_outer = [], [], [], [], []
         try:
             for gi_, st in enumerate(stacks):
                 l_s, s_st[gi_] = _cholesky_floored(s_st[gi_])
                 l_z, z_st[gi_] = _cholesky_floored(z_st[gi_])
-                u_sv, sig = _left_svd(l_z.transpose(0, 2, 1) @ l_s)
-                ginv = ((u_sv / np.sqrt(sig)[:, None, :]).transpose(0, 2, 1)
-                        @ l_z.transpose(0, 2, 1))
+                ginv, lam_g = _nt_scaling(l_s, l_z)
                 g_inv.append(ginv)
                 g_inv_t.append(ginv.transpose(0, 2, 1).copy())
-                lam.append(sig)
+                lam.append(lam_g)
                 u_w.append(ginv.transpose(0, 2, 1) @ ginv)
-                root = np.sqrt(sig)
+                root = np.sqrt(lam_g)
                 rt_outer.append(root[:, :, None] * root[:, None, :])
         except np.linalg.LinAlgError:
             return fail("numerical", it)
@@ -354,24 +393,15 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
         np.divide(h_mat, jac, out=h_mat)
         ridge = 0.0
         while True:
-            np.copyto(h_fact, h_mat)
-            if ridge > 0.0:
-                h_fact.flat[::k_total + 1] += ridge
             try:
-                # h_fact.T is the copy in Fortran order (H is symmetric),
-                # which LAPACK can factor in place; overwrite_a only permits
-                # that, so solve with the factor returned
-                factor, _ = sla.cho_factor(h_fact.T, lower=True,
-                                           overwrite_a=True,
-                                           check_finite=False)
+                factor = _cholesky_factor(
+                    h_mat if ridge == 0.0
+                    else h_mat + ridge * np.eye(k_total))
                 break
             except np.linalg.LinAlgError:
                 ridge = 1e-13 if ridge == 0.0 else ridge * 100.0
                 if ridge > 1e-8:
                     return fail("numerical", it)
-
-        def solve_eq(vec):
-            return sla.cho_solve((factor, True), vec, check_finite=False)
 
         # W^-1 R_p W^-1, the primal residual's part of both right-hand sides
         wrw = [u @ r @ u for u, r in zip(u_w, r_p)]
@@ -383,12 +413,12 @@ def solve_sdp(problem: SdpProblem, settings: SolverSettings | None = None) -> Sd
             for t, st in zip(t_st, stacks):
                 rhs += st.adjoint(t, k_total)
             rhs /= jac
-            dx = solve_eq(rhs)
+            dx = _cholesky_solve(factor, rhs)
             # iterative refinement; the normal matrix gets ill-conditioned
             # near convergence despite the equilibration, and any ridge
             # perturbs the factorization
             for _ in range(2 if ridge > 0.0 else 1):
-                dx += solve_eq(rhs - h_mat @ dx)
+                dx += _cholesky_solve(factor, rhs - h_mat @ dx)
             dx /= jac
             ds = [st.linear(dx) - r for st, r in zip(stacks, r_p)]
             ds_sc = [gi @ d @ git for gi, d, git in zip(g_inv, ds, g_inv_t)]

@@ -221,7 +221,7 @@ def fit_nominal_mse(dist: EmpiricalDistribution) -> FitResult:
 
     A is one SVD-based ``np.linalg.lstsq`` solve on centered data: the
     minimum-norm solution when the regressors are rank deficient (at most
-    m atoms, or a constant coordinate).  SciPy is not loaded.
+    m atoms, or a constant coordinate).
     """
     t0 = time.perf_counter()
     x = dist.x

@@ -21,7 +21,7 @@ them.  The variables var_e reach the kernel only through the index arrays
 once per stack (:attr:`drcvar.sdp.LmiStack.pairs`, at its first solve)
 and passed on every call.  The slot is read through
 ``slot.layout`` (R, the nonzero rows S of C, C_S), as the stack's own map
-and adjoint read it, so U C = U[:, S] C_S.  Nothing here imports SciPy.
+and adjoint read it, so U C = U[:, S] C_S.
 
 Other x other: every ordered pair (a, b) of entries of the same block i adds
 

@@ -1,7 +1,7 @@
 """The package's import footprint, and the API the benchmark runner relies on.
 
-SciPy is loaded by the first conic solve and by nothing before it, so the
-footprint tests run in fresh interpreters.
+No ``drcvar`` command loads SciPy, not even one that makes a conic solve,
+so the footprint tests run in fresh interpreters.
 
 The runner under perfbench/ wraps and calls ``drcvar`` functions by module
 attribute; these tests load it as a module and run its tracer installation,
@@ -33,7 +33,7 @@ def scipy_modules():
 import drcvar
 import drcvar.cli
 steps = {"import": scipy_modules()}
-data, fit, out = sys.argv[1:4]
+data, fit, out, sweep = sys.argv[1:5]
 for name, argv in [
         ("gen-data", ["gen-data", "--seed", "3", "--days", "8",
                       "--out", data]),
@@ -42,7 +42,10 @@ for name, argv in [
         ("eval", ["eval", "--data", data, "--estimator", fit,
                   "--alpha", "0.2"]),
         ("fit dr_cvar", ["fit", "--data", data, "--alpha", "0.2",
-                         "--radius", "0.1", "--out", out])]:
+                         "--radius", "0.1", "--out", out]),
+        ("sweep", ["sweep", "--data", data, "--split-date", "2013-05-07",
+                   "--alpha", "0.2", "--radii", "0.01,1", "--threads", "2",
+                   "--out", sweep])]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = drcvar.cli.dispatch(argv)
     assert code == 0, (name, code)
@@ -51,7 +54,8 @@ print(json.dumps(steps))
 """
 
 # radius_sweep on 2 threads as the process's first solve, so that both
-# workers make its first import of scipy.linalg at once; then on 1 thread
+# workers make the first conic solves of the process at once; then on 1
+# thread, which must give the same rows
 CONCURRENT_FIRST_SOLVE = """
 import json, sys
 from drcvar.data import (SpikyConfig, radius_sweep, split_and_normalize,
@@ -93,15 +97,14 @@ def test_import_does_not_load_scipy_optimize():
     assert proc.stdout.strip() == "False"
 
 
-def test_scipy_loads_at_the_first_solve_only(tmp_path):
+def test_no_step_loads_scipy(tmp_path):
     steps = json.loads(fresh_python(
         FOOTPRINT, str(tmp_path / "d.csv"), str(tmp_path / "fit.json"),
-        str(tmp_path / "dr.json")))
-    for name in ("import", "gen-data", "fit nominal_mse", "eval"):
-        assert steps[name] == [], name
-    assert "scipy.linalg" in steps["fit dr_cvar"]
+        str(tmp_path / "dr.json"), str(tmp_path / "sweep.json")))
+    assert list(steps) == ["import", "gen-data", "fit nominal_mse", "eval",
+                           "fit dr_cvar", "sweep"]
     for name, modules in steps.items():
-        assert not [m for m in modules if m.startswith("scipy.sparse")], name
+        assert modules == [], name
 
 
 def test_concurrent_first_solve_matches_serial():

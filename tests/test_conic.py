@@ -8,7 +8,6 @@ residuals.
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from drcvar import conic
 from drcvar.conic import SdpSolution, SolverSettings, certify, solve_sdp
@@ -161,22 +160,28 @@ class TestReporting:
         scale = max(1.0, 0.5 * (abs(pobj) + abs(dobj)))
         assert abs(pobj - dobj) / scale <= settings.tol
 
-    def test_svd_failure_retried_with_gesvd(self, monkeypatch):
-        # LAPACK's gesdd can fail to converge on finite iterates; the
-        # scaling must fall back to gesvd rather than end 'numerical'
+    def test_eigh_failure_falls_back_to_svd(self, monkeypatch):
+        # LAPACK's eigensolvers can fail to converge on finite iterates; the
+        # scaling must fall back to the SVD of P rather than end 'numerical'
         prob, opt = random_kkt_instance(3)
-        svd = np.linalg.svd
-        calls = []
+        eigh, svd = np.linalg.eigh, np.linalg.svd
+        calls, svd_calls = [], []
 
         def flaky(a, *args, **kwargs):
             calls.append(1)
             if len(calls) == 1:
-                raise np.linalg.LinAlgError("SVD did not converge")
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a, *args, **kwargs)
+
+        def counted(a, *args, **kwargs):
+            svd_calls.append(1)
             return svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", flaky)
+        monkeypatch.setattr(np.linalg, "eigh", flaky)
+        monkeypatch.setattr(np.linalg, "svd", counted)
         sol = solve_sdp(prob)
         assert len(calls) > 1
+        assert len(svd_calls) == 1
         assert sol.status == "optimal"
         assert abs(sol.objective_value - opt) <= 1e-6 * (1.0 + abs(opt))
 
@@ -206,22 +211,22 @@ class TestReporting:
         # the solve must still reach the known optimum
         prob, opt = random_kkt_instance(3)
         accumulate = conic.schur_accumulate
-        factor = scipy.linalg.cho_factor
+        factor = conic._cholesky_factor
         fresh, failures = [], []
 
         def flagging(h_mat, *args):
             accumulate(h_mat, *args)
             fresh[:] = [True]
 
-        def failing_first(a, **kwargs):
+        def failing_first(a):
             if fresh:
                 fresh.clear()
                 failures.append(1)
                 raise np.linalg.LinAlgError("not positive definite")
-            return factor(a, **kwargs)
+            return factor(a)
 
         monkeypatch.setattr(conic, "schur_accumulate", flagging)
-        monkeypatch.setattr(scipy.linalg, "cho_factor", failing_first)
+        monkeypatch.setattr(conic, "_cholesky_factor", failing_first)
         sol = solve_sdp(prob)
         assert sol.status == "optimal"
         assert len(failures) == sol.iterations > 0
@@ -248,23 +253,6 @@ class TestReporting:
         assert np.all(np.isfinite(sol.x))
         assert np.isfinite(sol.objective_value)
 
-    def test_factor_made_in_a_copy_solves_the_same(self, monkeypatch):
-        # overwrite_a is only a hint to LAPACK's wrapper: the solver must
-        # solve with the factor cho_factor returns, not with its buffer
-        prob, _ = random_kkt_instance(4)
-        expected = solve_sdp(prob)
-        factor = scipy.linalg.cho_factor
-
-        def copying(a, lower=False, overwrite_a=False, check_finite=True):
-            return factor(a, lower=lower, overwrite_a=False,
-                          check_finite=check_finite)
-
-        monkeypatch.setattr(scipy.linalg, "cho_factor", copying)
-        sol = solve_sdp(prob)
-        assert sol.status == expected.status == "optimal"
-        assert sol.iterations == expected.iterations
-        assert np.array_equal(sol.x, expected.x)
-
     def test_max_iter_status(self):
         prob, _ = random_kkt_instance(11)
         sol = solve_sdp(prob, SolverSettings(max_iter=2))
@@ -290,6 +278,96 @@ class TestCholeskyFloored:
         healthy = stack[:1]
         factor, out = conic._cholesky_floored(healthy)
         assert out is healthy
+
+
+def psd_stack(rng, count, size, cond):
+    """count random PSD matrices, each with eigenvalues log-spaced from a
+    random scale in [0.5, 2] down to that scale over ``cond``."""
+    q, _ = np.linalg.qr(rng.standard_normal((count, size, size)))
+    w = (np.logspace(0.0, -np.log10(cond), size)
+         * rng.uniform(0.5, 2.0, (count, 1)))
+    m = (q * w[:, None, :]) @ q.transpose(0, 2, 1)
+    return 0.5 * (m + m.transpose(0, 2, 1))
+
+
+def spectral_norm(stack):
+    return np.linalg.norm(stack, ord=2, axis=(1, 2))
+
+
+class TestLinearAlgebra:
+    @pytest.mark.parametrize("k", [1, conic._LEAF, conic._LEAF + 1, 176, 333])
+    def test_factor_and_solve(self, k):
+        rng = np.random.default_rng(k)
+        a = rng.standard_normal((k, k))
+        h = a @ a.T + k * np.eye(k)
+        low, invs = conic._cholesky_factor(h)
+        np.testing.assert_allclose(low, np.linalg.cholesky(h), rtol=0.0,
+                                   atol=1e-13 * np.abs(low).max())
+        starts = range(0, k, conic._LEAF)
+        assert [len(inv) for inv in invs] == [min(conic._LEAF, k - a)
+                                              for a in starts]
+        for a, inv in zip(starts, invs):
+            block = low[a:a + len(inv), a:a + len(inv)]
+            expected = np.linalg.inv(block)
+            np.testing.assert_allclose(inv, expected, rtol=0.0,
+                                       atol=1e-13 * np.abs(expected).max())
+            assert not np.triu(inv, 1).any()
+        vec = rng.standard_normal(k)
+        x = conic._cholesky_solve((low, invs), vec)
+        np.testing.assert_allclose(x, np.linalg.solve(h, vec), rtol=1e-12,
+                                   atol=1e-14 * np.abs(x).max())
+        assert (np.linalg.norm(h @ x - vec)
+                <= 1e-14 * np.linalg.norm(h, 2) * np.linalg.norm(x))
+
+    @pytest.mark.parametrize("size", [1, 7, 55, 73])
+    @pytest.mark.parametrize("kind",
+                             ["random", "central", "identity", "independent"])
+    def test_nt_scaling_identities(self, kind, size):
+        # random: S and Z of condition 10; the rest have S of condition
+        # 1e8, and Z is 1e-6 S^-1 off the central path, where interior-point
+        # iterates are and P is well conditioned (central), the identity, so
+        # that P = L_s spans 4 decades and a square root of the eigenvalues
+        # of P P' would lose the small lambda (identity), or of condition
+        # 1e8 as well (independent)
+        rng = np.random.default_rng(size)
+        s_mat = psd_stack(rng, 4, size, 10.0 if kind == "random" else 1e8)
+        if kind == "central":
+            z_mat = (1e-6 * np.linalg.inv(s_mat)
+                     + 1e-7 * psd_stack(rng, 4, size, 10.0))
+            z_mat = 0.5 * (z_mat + z_mat.transpose(0, 2, 1))
+        elif kind == "identity":
+            z_mat = np.repeat(np.eye(size)[None], 4, axis=0)
+        else:
+            z_mat = psd_stack(rng, 4, size,
+                              10.0 if kind == "random" else 1e8)
+        l_s, l_z = np.linalg.cholesky(s_mat), np.linalg.cholesky(z_mat)
+        g_inv, lam = conic._nt_scaling(l_s, l_z)
+        g = np.linalg.inv(g_inv)
+        g_t, g_inv_t = g.transpose(0, 2, 1), g_inv.transpose(0, 2, 1)
+        lam_diag = np.zeros_like(s_mat)
+        conic._diag(lam_diag)[...] = lam
+        w_inv = g_inv_t @ g_inv
+        # U diagonalizes P P' to an eigensolve's size * eps * ||P||^2, which
+        # leaves the small lambda_j, and G^-1 S G^-T = diag(lambda) along
+        # them, resolved to size * eps * cond(P) * ||P||: negligible unless
+        # P is ill conditioned, as it is for the independent pairs alone
+        sig = np.linalg.svd(l_z.transpose(0, 2, 1) @ l_s, compute_uv=False)
+        limit = size * np.finfo(float).eps * sig[:, 0] ** 2 / sig[:, -1]
+
+        # each product within 1e-12 of the scale it is formed at
+        for got, want, scale in [
+                (g_t @ z_mat @ g, lam_diag,
+                 spectral_norm(g) ** 2 * spectral_norm(z_mat)),
+                (g_inv @ s_mat @ g_inv_t, lam_diag,
+                 spectral_norm(g_inv) ** 2 * spectral_norm(s_mat)),
+                (w_inv @ s_mat @ w_inv, z_mat,
+                 spectral_norm(w_inv) ** 2 * spectral_norm(s_mat))]:
+            err = np.abs(got - want).max(axis=(1, 2))
+            assert np.all(err <= 1e-12 * scale + limit)
+
+        assert np.all(np.abs(lam - sig) <= 1e-12 * sig + limit[:, None])
+        if kind != "independent":
+            np.testing.assert_allclose(lam, sig, rtol=1e-12)
 
 
 class TestSettings:
