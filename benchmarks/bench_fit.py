@@ -6,8 +6,10 @@ Workloads, all on ``synth_spiky(SpikyConfig(days=N+10), seed=1)`` split at
 day N (n = m = 24), alpha = 0.1:
 
 - ``fit_n12``, ``fit_n30`` and ``fit_n90``: ``fit_dr_cvar`` at r = 0.01,
-  N = 12, 30 and 90; at N = 12 < m the observations span 12 dimensions,
-  and the fit solves the program reduced to that span;
+  N = 12, 30 and 90; at N = 12 < n = m the targets and the observations
+  each span 12 dimensions, and the fit solves the program reduced to
+  those spans (K = 170 variables, 37x37 atom blocks; N >= 24 fits solve
+  the caller's program, K = 632 or 692, 73x73);
 - ``sweep_n30``: ``radius_sweep`` at N = 30 over the 5 radii 1e-3 ... 10,
   on one thread, so ``dr_cvar`` and ``dr_mse`` at each radius: 10 fits;
 - ``small_r_n30``: the same sweep over the small radii 1e-8, 1e-6 and

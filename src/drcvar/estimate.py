@@ -15,18 +15,38 @@ Both conic fits go through one certified path, and both raise when their
 cross-check gap exceeds :data:`CROSS_CHECK_TOL`.  A zero-radius request at
 alpha = 1 is routed to the closed-form least squares fit.
 
-Short windows are fitted on the span of the observations.  Let V (m x r)
-be an orthonormal basis of span{y_i} with 1 <= r < m, as in every window
-of fewer than m atoms.  A distribution of the transport ball pushed forward
-by (x, y) -> (x, V V'y) stays in the ball, since y_i = V V'y_i and the
-projection does not lengthen y - y_i, and the loss of A at the pushed point
-is the loss of A V V' at the original one.  So A V V' is no worse than A,
-and the optimum is attained at some A = A~ V', whose worst case over the
-ball around the (x_i, y_i) is that of A~ over the ball around the
-(x_i, V'y_i).  The conic program is built on those reduced atoms: n(r+1)
-estimator variables and atom blocks of size 1 + n + r + n instead of
-1 + n + m + n.  The cross-check still reads the full distribution and the
-full A = A~ V'.
+Short windows are fitted on the spans of the observations and of the
+targets.  Let V (m x r) be an orthonormal basis of span{y_i} and U (n x k)
+one of span{x_i}.  V is used when 1 <= r < m and U when 1 <= k < n, as in
+every day-ahead window of fewer than 24 days; otherwise each is the
+identity.
+
+- Observations.  A distribution of the transport ball pushed forward by
+  (x, y) -> (x, V V'y) stays in the ball, since y_i = V V'y_i and the
+  projection does not lengthen y - y_i, and the loss of A at the pushed
+  point is the loss of A V V' at the original one.  So A V V' is no worse
+  than A.
+- Targets.  The loss reads x directly, so the projection argument does
+  not carry over; reflection and convexity do.  Let R = 2 U U' - I, the
+  reflection through span{x_i}.  The map (x, y) -> (R x, y) is an
+  isometry that fixes every atom, so it maps the ball onto itself, and
+  the loss of (A, b) at (R x, y) is the loss of (R A, R b) at (x, y).  So
+  the worst-case CVaR J has J(R A, R b) = J(A, b).  J is convex in (A, b)
+  (a supremum of CVaRs of losses convex in (A, b)), and U U' = (I + R)/2,
+  so J(U U'A, U U'b) <= J(A, b).
+
+Hence some optimum has the form A = U A~ V', b = U b~.  At such a point,
+in the coordinates (U, U_perp) of the x rows, the x_perp rows of every
+atom block (module :mod:`drcvar.sdp`) split off as [[gamma I, -I], [-I,
+I]]: nothing couples them to the rest, since every residual
+e_i = x_i - A y_i - b and every column of A lie in span U.  That part is
+PSD iff gamma >= 1, which the reduced block already implies (its
+F~ = [-I_k, A~] has norm >= 1); at radius zero it is I.  So the worst
+case of (U A~ V', U b~) over the ball around the (x_i, y_i) is that of
+(A~, b~) over the ball around the (U'x_i, V'y_i).  The conic program is
+built on those reduced atoms: k(r+1) estimator variables and atom blocks
+of size 1 + (k + r) + k instead of 1 + (n + m) + n.  The cross-check
+still reads the full distribution and the lifted estimator.
 """
 from __future__ import annotations
 
@@ -124,21 +144,40 @@ def fit_dr_cvar(dist: EmpiricalDistribution, spec: RiskSpec,
     return _certified_fit(dist, spec, settings)
 
 
-def _observation_basis(y: np.ndarray) -> np.ndarray | None:
-    """Orthonormal basis V (m x r) of the span of the rows of y, or None
-    when r is 0 or m.
+def _span_basis(rows: np.ndarray) -> np.ndarray | None:
+    """Orthonormal basis (p x k) of the span of the rows of a (N, p) array,
+    or None when k is 0 or p.
 
-    V holds the leading right singular vectors, r counted with the
-    tolerance of ``np.linalg.matrix_rank``.  A rank-revealing basis matters:
-    a QR basis of a rank-deficient y keeps a column with no observation
-    along it, and nothing in the conic program bounds A~'s matching column.
+    The basis holds the leading right singular vectors, k counted with the
+    tolerance of ``np.linalg.matrix_rank``; it serves the targets x and the
+    observations y alike.  A rank-revealing basis matters: a QR basis of a
+    rank-deficient y keeps a column with no observation along it, and
+    nothing in the conic program bounds A~'s matching column.
     """
-    _, sv, vt = np.linalg.svd(y, full_matrices=False)
-    tol = sv.max(initial=0.0) * max(y.shape) * np.finfo(y.dtype).eps
+    _, sv, vt = np.linalg.svd(rows, full_matrices=False)
+    tol = sv.max(initial=0.0) * max(rows.shape) * np.finfo(rows.dtype).eps
     rank = int(np.count_nonzero(sv > tol))
-    if rank == 0 or rank == y.shape[1]:
+    if rank == 0 or rank == rows.shape[1]:
         return None
     return vt[:rank].T
+
+
+def _span_reduction(dist: EmpiricalDistribution) -> tuple[
+        EmpiricalDistribution, np.ndarray | None, np.ndarray | None]:
+    """(reduced, U, V): the distribution on the atoms (U'x_i, V'y_i) and
+    the bases U of span{x_i} and V of span{y_i} (module docstring).
+
+    A basis is None where its span is 0 or all of the space, and that side
+    is not reduced; when both are None, reduced is ``dist`` itself.
+    """
+    u_basis, v_basis = _span_basis(dist.x), _span_basis(dist.y)
+    if u_basis is None and v_basis is None:
+        return dist, None, None
+    x = dist.x if u_basis is None else dist.x @ u_basis
+    y = dist.y if v_basis is None else dist.y @ v_basis
+    reduced = EmpiricalDistribution(atoms=np.hstack([x, y]), n=x.shape[1],
+                                    m=y.shape[1])
+    return reduced, u_basis, v_basis
 
 
 def _certified_fit(dist: EmpiricalDistribution, spec: RiskSpec,
@@ -146,19 +185,17 @@ def _certified_fit(dist: EmpiricalDistribution, spec: RiskSpec,
     """Solve the CVaR SDP and check its value: against the dual path when
     the radius is positive, against the empirical CVaR when it is zero.
 
-    When the y_i span r < m dimensions (r >= 1), the program is built on
-    the atoms (x_i, V'y_i) and the fit returns A = A~ V'.  The pushforward
-    (x, y) -> (x, V V'y) does not increase the transport cost, and the loss
-    of A at the pushed point is the loss of A V V' at the original one, so
-    the worst case of A V V' is at most that of A (module docstring).
-    Otherwise, r = 0 included, the program is built on the caller's
-    distribution as it is.
+    The program is built on the atoms (U'x_i, V'y_i) of
+    :func:`_span_reduction`, and the fit returns the lift A = U A~ V',
+    b = U b~.  The optimum is attained there (module docstring): the
+    pushforward (x, y) -> (x, V V'y) does not increase the transport cost,
+    and the reflection through span{x_i} fixes the ball, so by convexity
+    projecting A and b onto span{x_i} does not raise the worst case.
+    When the x_i and the y_i each span 0 dimensions or all of them, the
+    program is built on the caller's distribution as it is.
     """
     t0 = time.perf_counter()
-    basis = _observation_basis(dist.y)
-    reduced = dist if basis is None else EmpiricalDistribution(
-        atoms=np.hstack([dist.x, dist.y @ basis]), n=dist.n,
-        m=basis.shape[1])
+    reduced, u_basis, v_basis = _span_reduction(dist)
     problem = build_drcvar_sdp(reduced, spec)
     method = problem.meta["kind"]
     sol = solve_sdp(problem, settings)
@@ -174,8 +211,10 @@ def _certified_fit(dist: EmpiricalDistribution, spec: RiskSpec,
     except RuntimeError as exc:
         raise FitError(f"{method} fit failed: {exc}", solution=sol,
                        status="validation") from exc
-    if basis is not None:
-        est = AffineEstimator(A=est.A @ basis.T, b=est.b)
+    if v_basis is not None:
+        est = AffineEstimator(A=est.A @ v_basis.T, b=est.b)
+    if u_basis is not None:
+        est = AffineEstimator(A=u_basis @ est.A, b=u_basis @ est.b)
     value = sol.objective_value
     elapsed = time.perf_counter() - t0
 

@@ -3,9 +3,11 @@ emitted document is validated against its published schema."""
 
 import json
 import math
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -429,11 +431,16 @@ class TestErrors:
 
 
 def test_console_entry_point(tmp_path):
+    # the new interpreter imports this checkout, as the tests do
     out = tmp_path / "x.csv"
+    src = str(Path(drcvar.dual.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "drcvar.cli", "gen-data", "--seed", "5",
          "--days", "3", "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

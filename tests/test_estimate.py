@@ -267,16 +267,34 @@ def day_ahead_window(big_n):
     return split_and_normalize(ds, ds.dates[big_n])[0]
 
 
+def span_basis(rows):
+    """Orthonormal basis of the span of the rows, by SVD."""
+    rank = np.linalg.matrix_rank(rows)
+    return np.linalg.svd(rows)[2][:rank].T
+
+
+def recorded_builds(monkeypatch):
+    """The distributions the fit hands build_drcvar_sdp, in call order."""
+    built = []
+
+    def build(dist, spec):
+        built.append(dist)
+        return build_drcvar_sdp(dist, spec)
+
+    monkeypatch.setattr("drcvar.estimate.build_drcvar_sdp", build)
+    return built
+
+
 class TestObservationSpan:
-    # observations spanning r < m dimensions: the fit solves the program on
-    # the reduced atoms (x_i, V'y_i) and returns A = A~ V'
+    # observations spanning r < m dimensions and targets spanning k < n: the
+    # fit solves the program on the reduced atoms (U'x_i, V'y_i) and returns
+    # A = U A~ V', b = U b~
 
     @pytest.mark.parametrize("big_n", [6, 12])
     def test_reduced_fit_matches_the_full_program(self, big_n):
         train = day_ahead_window(big_n)
-        rank = np.linalg.matrix_rank(train.y)
-        assert rank < train.m
-        basis = np.linalg.svd(train.y)[2][:rank].T
+        v_basis, u_basis = span_basis(train.y), span_basis(train.x)
+        assert v_basis.shape[1] < train.m and u_basis.shape[1] < train.n
         for alpha in (0.1, 1.0):
             for radius in (0.0, 1e-4, 1e-2, 1.0):
                 spec = RiskSpec(alpha=alpha, radius=radius)
@@ -287,9 +305,58 @@ class TestObservationSpan:
                 value = fit.optimal_value
                 assert abs(value - full.objective_value) \
                     <= 1e-7 * (1.0 + abs(value)), (alpha, radius)
-                a_mat = fit.estimator.A
-                assert np.linalg.norm(a_mat - a_mat @ basis @ basis.T) \
+                a_mat, b_vec = fit.estimator.A, fit.estimator.b
+                assert np.linalg.norm(a_mat - a_mat @ v_basis @ v_basis.T) \
                     <= 1e-12 * np.linalg.norm(a_mat)
+                assert np.linalg.norm(a_mat - u_basis @ u_basis.T @ a_mat) \
+                    <= 1e-12 * np.linalg.norm(a_mat)
+                assert np.linalg.norm(b_vec - u_basis @ u_basis.T @ b_vec) \
+                    <= 1e-12 * np.linalg.norm(b_vec)
+
+    @pytest.mark.parametrize("radius", [0.0, 0.3])
+    def test_targets_in_a_subspace_reduce_the_targets_only(
+            self, monkeypatch, radius):
+        # N = 30 > m with full-rank y, and targets in a 2-dim subspace of
+        # R^4: the program is built on (U'x_i, y_i)
+        rng = np.random.default_rng(SEED + 17)
+        y = rng.standard_normal((30, 3))
+        x = (y @ rng.standard_normal((3, 2))
+             + 0.5 * rng.standard_normal((30, 2))) @ rng.standard_normal(
+                 (2, 4))
+        dist = EmpiricalDistribution(atoms=np.hstack([x, y]), n=4, m=3)
+        spec = RiskSpec(alpha=0.5, radius=radius)
+        built = recorded_builds(monkeypatch)
+        fit = (fit_nominal_cvar(dist, 0.5) if radius == 0.0
+               else fit_dr_cvar(dist, spec))
+        assert len(built) == 1
+        assert (built[0].n, built[0].m) == (2, 3)
+        np.testing.assert_array_equal(built[0].y, dist.y)
+        full = solve_sdp(build_drcvar_sdp(dist, spec))
+        assert full.status == "optimal"
+        value = fit.optimal_value
+        assert abs(value - full.objective_value) <= 1e-7 * (1.0 + abs(value))
+        u_basis = span_basis(x)
+        a_mat = fit.estimator.A
+        assert np.linalg.norm(a_mat - u_basis @ u_basis.T @ a_mat) \
+            <= 1e-12 * np.linalg.norm(a_mat)
+
+    @pytest.mark.parametrize("radius", [0.0, 0.3])
+    def test_zero_targets_keep_the_callers_distribution(self, monkeypatch,
+                                                        radius):
+        # rank-0 targets and full-rank y: there is no span to reduce to on
+        # either side, and the fit solves the caller's program as it is
+        rng = np.random.default_rng(SEED + 18)
+        dist = EmpiricalDistribution(
+            atoms=np.hstack([np.zeros((8, 2)), rng.standard_normal((8, 3))]),
+            n=2, m=3)
+        spec = RiskSpec(alpha=0.5, radius=radius)
+        built = recorded_builds(monkeypatch)
+        fit = (fit_nominal_cvar(dist, 0.5) if radius == 0.0
+               else fit_dr_cvar(dist, spec))
+        assert len(built) == 1 and built[0] is dist
+        direct = solve_sdp(build_drcvar_sdp(dist, spec))
+        assert fit.optimal_value == direct.objective_value
+        assert fit.iterations == direct.iterations
 
     def test_rank_deficient_window_passes_its_cross_check(self):
         # the first 6-day window of a 25-day history, normalized on its own
@@ -318,13 +385,7 @@ class TestObservationSpan:
             atoms=np.hstack([rng.standard_normal((4, 2)), np.zeros((4, 3))]),
             n=2, m=3)
         spec = RiskSpec(alpha=0.5, radius=radius)
-
-        def build(dist, spec):
-            built.append(dist)
-            return build_drcvar_sdp(dist, spec)
-
-        built = []
-        monkeypatch.setattr("drcvar.estimate.build_drcvar_sdp", build)
+        built = recorded_builds(monkeypatch)
         fit = (fit_nominal_cvar(dist, 0.5) if radius == 0.0
                else fit_dr_cvar(dist, spec))
         assert len(built) == 1 and built[0] is dist
