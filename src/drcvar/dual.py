@@ -16,7 +16,8 @@ transformed loss is its nominal value plus a sum of positive poles,
     l_i(gamma) = l0_i + sum_j U_ij / (gamma - lambda_j),
     l0_i = z_i'Q z_i + 2 q'z_i,   U_ij = u_ij^2,   u_i = V'(Q z_i + q),
 
-so a certificate computes l0 and U once, and each trial gamma costs three
+so l0 and U are computed once per form and read-only atom set (the form
+keeps them, see :func:`_loss_terms`), and each trial gamma costs three
 matrix-vector products with U: l, its slope l' = -U (gamma - lambda)^-2 and
 its curvature l'' = 2 U (gamma - lambda)^-3.  Every term has one sign, so
 nothing cancels however large gamma grows (like 1/r as r -> 0), and nothing
@@ -71,8 +72,11 @@ class GammaDomain:
     lower_open: bool
 
     def contains(self, gamma: float) -> bool:
-        """Membership test, honoring the open/closed lower boundary."""
-        if gamma < 0.0:
+        """Membership test, honoring the open/closed lower boundary.
+
+        nan is in no domain.
+        """
+        if not gamma >= 0.0:
             return False
         if self.lower_open:
             return gamma > self.lambda_max
@@ -114,11 +118,27 @@ def _loss_terms(qf: QuadraticForm,
     l0_i = z_i'Qz_i + 2q'z_i is computed in the eigenbasis as
     sum_j zh_ij (u_ij + qh_j), with zh_i = V'z_i, qh = V'q and
     u_i = V'(Q z_i + q) = lambda * zh_i + qh; U = u^2 elementwise.
+
+    They are computed once per form and read-only atom set: the form's
+    ``terms_memo`` keeps the last read-only array that owns its data (as
+    every ``EmpiricalDistribution.atoms`` does) with its terms, made
+    read-only, and a later call on that very array, still read-only,
+    returns them.  A writeable array or a view is never stored, since its
+    values may change.  The memo is replaced by one assignment, so threads
+    sharing a form at worst compute the terms twice.
     """
+    memo = qf.terms_memo
+    if memo is not None and memo[0] is atoms and not atoms.flags.writeable:
+        return memo[1]
     zh = atoms @ qf.eigenvectors
     qh = qf.q @ qf.eigenvectors
     u = qf.eigenvalues * zh + qh
-    return np.einsum("ij,ij->i", zh, u + qh), u * u
+    terms = np.einsum("ij,ij->i", zh, u + qh), u * u
+    if not atoms.flags.writeable and atoms.flags.owndata:
+        for arr in terms:
+            arr.flags.writeable = False
+        object.__setattr__(qf, "terms_memo", (atoms, terms))
+    return terms
 
 
 def _dual_value(gamma: float, terms: tuple[np.ndarray, np.ndarray],

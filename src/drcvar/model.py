@@ -8,7 +8,10 @@ estimator x_hat = A y + b induces the squared-error loss
 
 which is the quadratic form every downstream module (dual evaluation, SDP
 assembly) consumes.  All types are immutable after construction and all
-operations are pure functions.
+operations are pure functions.  The one exception is a memo on
+QuadraticForm: the dual path stores there the gamma-free loss terms of the
+last read-only atom array it certified, a cache that equality, repr and
+dataclasses.replace ignore.
 """
 from __future__ import annotations
 
@@ -127,6 +130,12 @@ class QuadraticForm:
     eigenvalues and V = eigenvectors.  The constant c is carried separately:
     risk functionals are evaluated on the pure quadratic part and c is added
     afterwards (CVaR is translation equivariant).
+
+    terms_memo is the dual path's cache, set by
+    :func:`drcvar.dual._loss_terms`: None, or the read-only atom array last
+    certified with its loss terms (l0, U).  It is no part of the form's
+    value: equality and repr skip it, and dataclasses.replace starts the
+    new form without one.
     """
 
     Q: np.ndarray
@@ -134,6 +143,8 @@ class QuadraticForm:
     c: float = 0.0
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
     eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
+    terms_memo: tuple | None = field(init=False, repr=False, compare=False,
+                                     default=None)
 
     def __post_init__(self):
         Q = _as_finite_array(self.Q, "Q", 2)

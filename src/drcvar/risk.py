@@ -14,6 +14,7 @@ descending order statistics.  With k = floor(alpha * N):
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,24 +50,23 @@ def cvar_discrete(losses, alpha: float) -> RiskReport:
         cvar (optimal value), var (optimal threshold tau), tail_count.
     """
     ls = np.asarray(losses, dtype=float).ravel()
-    if ls.size == 0:
+    n = ls.size
+    if n == 0:
         raise ValueError("empty loss sample")
-    if not np.all(np.isfinite(ls)):
+    if not np.isfinite(ls).all():
         raise ValueError("losses contain non-finite entries")
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
 
-    n = ls.size
     desc = np.sort(ls)[::-1]
-    k = min(n, int(np.floor(alpha * n)))
+    k = min(n, math.floor(alpha * n))
     if k == n:
-        cvar = float(np.mean(desc))
+        cvar = float(desc.mean())
         var = float(desc[-1])
     else:
         # exact minimum of the variational objective; both branches agree
         # when alpha*N lands exactly on an integer
-        cvar = float((np.sum(desc[:k]) / n + (alpha - k / n) * desc[k]) / alpha)
         var = float(desc[k])
-    tail_count = int(np.sum(ls > var))
-    return RiskReport(cvar=cvar, var=var, tail_count=tail_count)
-
+        cvar = (float(desc[:k].sum()) / n + (alpha - k / n) * var) / alpha
+    return RiskReport(cvar=cvar, var=var,
+                      tail_count=int(np.count_nonzero(ls > var)))

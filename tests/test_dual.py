@@ -11,7 +11,10 @@ upper end, the boundary flag) are checked against central differences of
 the objective and on constructed instances.
 """
 
+import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -90,6 +93,15 @@ class TestGammaDomain:
         dom = gamma_domain(qf)
         assert dom.lambda_max == pytest.approx(1.0)
         assert dom.lower_open
+
+    @pytest.mark.parametrize("lam", [1.0, 0.0, -1.0])
+    def test_nan_is_outside_every_domain(self, lam):
+        # open for lam >= 0, closed for lam < 0
+        qf = QuadraticForm(Q=[[lam]], q=[0.2])
+        assert not gamma_domain(qf).contains(math.nan)
+        dist = EmpiricalDistribution(atoms=np.array([[0.5], [-1.0]]), n=1, m=0)
+        spec = RiskSpec(alpha=0.5, radius=0.1)
+        assert dual_objective(math.nan, qf, dist, spec) == math.inf
 
 
 def dense_transformed_losses(gamma, qf, atoms):
@@ -516,6 +528,106 @@ class TestSlopeSearch:
                 assert all(math.isfinite(v) for v in values)
                 assert all(a <= b for a, b in zip(values, values[1:]))
                 assert values[0] >= nominal - 1e-14 * (1.0 + abs(nominal))
+
+
+class TestTermsMemo:
+    """The form keeps the loss terms of the last read-only atom array."""
+
+    @staticmethod
+    def setup(seed, big_n=7):
+        rng = np.random.default_rng(seed)
+        est = AffineEstimator(A=rng.standard_normal((2, 3)),
+                              b=rng.standard_normal(2))
+        dist = EmpiricalDistribution(atoms=rng.standard_normal((big_n, 5)),
+                                     n=2, m=3)
+        return est, dist
+
+    def test_shared_form_matches_fresh_forms(self):
+        est, dist = self.setup(SEED + 70)
+        shared = affine_to_quadratic(est)
+        for alpha in (1.0 / dist.size, 0.1, 1.0):
+            for radius in (1e-4, 1e-2, 1.0):
+                spec = RiskSpec(alpha=alpha, radius=radius)
+                fresh = worst_case_cvar(affine_to_quadratic(est), dist, spec)
+                assert worst_case_cvar(shared, dist, spec) == fresh
+
+    def test_alternating_distributions_of_one_shape(self):
+        est, first = self.setup(SEED + 71)
+        _, second = self.setup(SEED + 72)
+        spec = RiskSpec(alpha=0.3, radius=0.2)
+        expected = {id(d): worst_case_cvar(affine_to_quadratic(est), d, spec)
+                    for d in (first, second)}
+        assert expected[id(first)] != expected[id(second)]
+        qf = affine_to_quadratic(est)
+        for d in (first, second, first):
+            assert worst_case_cvar(qf, d, spec) == expected[id(d)]
+
+    def test_second_call_returns_the_stored_arrays(self):
+        est, dist = self.setup(SEED + 73)
+        qf = affine_to_quadratic(est)
+        ell0, u2 = _loss_terms(qf, dist.atoms)
+        again = _loss_terms(qf, dist.atoms)
+        assert again[0] is ell0 and again[1] is u2
+        assert not ell0.flags.writeable and not u2.flags.writeable
+
+    def test_writeable_array_is_never_stored(self):
+        est, dist = self.setup(SEED + 74)
+        qf = affine_to_quadratic(est)
+        atoms = np.array(dist.atoms)
+        assert atoms.flags.writeable
+        ell0, _ = _loss_terms(qf, atoms)
+        assert qf.terms_memo is None
+        atoms[0] += 1.0
+        moved, _ = _loss_terms(qf, atoms)
+        assert moved[0] != ell0[0] and np.array_equal(moved[1:], ell0[1:])
+        # a read-only view of writeable memory may change as well
+        view = atoms[:]
+        view.flags.writeable = False
+        _loss_terms(qf, view)
+        assert qf.terms_memo is None
+
+    def test_memo_is_not_part_of_the_form(self):
+        est, dist = self.setup(SEED + 75)
+        qf = affine_to_quadratic(est)
+        before = repr(qf)
+        worst_case_cvar(qf, dist, RiskSpec(alpha=0.5, radius=0.1))
+        assert qf.terms_memo is not None
+        assert repr(qf) == before
+        slot = {f.name: f for f in dataclasses.fields(qf)}["terms_memo"]
+        assert not (slot.init or slot.repr or slot.compare)
+        assert dataclasses.replace(qf).terms_memo is None
+
+    def test_threads_sharing_a_form(self):
+        # more threads than cores, switching often, each alternating two
+        # distributions on one form: a memo read torn between its atoms and
+        # its terms would hand one distribution the other's losses
+        est, first = self.setup(SEED + 76)
+        _, second = self.setup(SEED + 77)
+        spec = RiskSpec(alpha=0.3, radius=0.2)
+        expected = {id(d): worst_case_cvar(affine_to_quadratic(est), d, spec)
+                    for d in (first, second)}
+        qf = affine_to_quadratic(est)
+        wrong = []
+
+        def work(order):
+            for _ in range(30):
+                for d in order:
+                    if worst_case_cvar(qf, d, spec) != expected[id(d)]:
+                        wrong.append(id(d))
+
+        threads = [threading.Thread(target=work, args=(pair,))
+                   for pair in [(first, second), (second, first)] * 3]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestWorstCaseMseClosed:
