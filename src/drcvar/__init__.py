@@ -22,7 +22,6 @@ from .dual import DualCertificate, worst_case_cvar
 from .estimate import (
     FitError,
     FitResult,
-    default_solver_settings,
     fit_dr_cvar,
     fit_dr_mse,
     fit_nominal_cvar,
@@ -60,7 +59,6 @@ __all__ = [
     "affine_to_quadratic",
     "build_drcvar_sdp",
     "cvar_discrete",
-    "default_solver_settings",
     "evaluate_out_of_sample",
     "fit_dr_cvar",
     "fit_dr_mse",

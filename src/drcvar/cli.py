@@ -6,9 +6,6 @@ to ``--out`` when given); the documents conform to the schemas shipped under
 (bad input, or a file that cannot be read or written), 3 solver failure.
 All randomness flows from explicit ``--seed`` flags; the only
 wall-clock-dependent outputs are the solve-time fields.
-
-The default solver tolerance profile is 'strict'; set DRCVAR_TOL_PROFILE=fast
-to trade accuracy for speed across all subcommands.
 """
 from __future__ import annotations
 
@@ -17,7 +14,6 @@ import datetime
 import hashlib
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -38,7 +34,6 @@ from .data import (
 from .estimate import (
     CROSS_CHECK_TOL,
     FitError,
-    default_solver_settings,
     fit_dr_cvar,
     fit_dr_mse,
     fit_nominal_cvar,
@@ -63,14 +58,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; we reserve 2 for data errors
     def error(self, message):
         raise _UsageError(message)
-
-
-def _settings():
-    profile = os.environ.get("DRCVAR_TOL_PROFILE", "strict")
-    try:
-        return default_solver_settings(profile)
-    except ValueError as exc:
-        raise _UsageError(f"DRCVAR_TOL_PROFILE: {exc}") from None
 
 
 def _risk_spec(alpha: float, radius: float = 0.0) -> RiskSpec:
@@ -136,17 +123,16 @@ def _fit_doc(fit, alpha, radius, scaler, data_info) -> dict:
 
 def _cmd_fit(args) -> int:
     spec = _risk_spec(args.alpha, args.radius)
-    settings = _settings()
     train, _, scaler = _prepare(args)
     # report what is solved: the MSE fits at alpha = 1, nominal ones at r = 0
     alpha = args.alpha if args.method.endswith("_cvar") else 1.0
     radius = args.radius if args.method.startswith("dr_") else 0.0
     if args.method == "dr_cvar":
-        fit = fit_dr_cvar(train, spec, settings=settings)
+        fit = fit_dr_cvar(train, spec)
     elif args.method == "dr_mse":
-        fit = fit_dr_mse(train, args.radius, settings=settings)
+        fit = fit_dr_mse(train, args.radius)
     elif args.method == "nominal_cvar":
-        fit = fit_nominal_cvar(train, args.alpha, settings=settings)
+        fit = fit_nominal_cvar(train, args.alpha)
     else:
         fit = fit_nominal_mse(train)
     info = {"path": args.data, "train_days": train.size}
@@ -264,12 +250,11 @@ def _cmd_sweep(args) -> int:
     radii = _radii_from_args(args)
     if args.threads < 1:
         raise _UsageError(f"--threads must be at least 1, got {args.threads}")
-    settings = _settings()
     train, test, scaler = _prepare(args)
     if test is None:
         raise _UsageError("sweep requires --split-date")
-    report = radius_sweep(train, test, alpha, radii, settings=settings,
-                          scaler=scaler, threads=args.threads)
+    report = radius_sweep(train, test, alpha, radii, scaler=scaler,
+                          threads=args.threads)
     doc = {"kind": "sweep_report", **report.to_dict()}
     doc["data"] = {"path": args.data, "split_date": args.split_date,
                    "train_days": train.size, "test_days": test.size}
@@ -303,9 +288,8 @@ def _cmd_check_dual(args) -> int:
         raise _UsageError("check-dual requires --radius > 0")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise _UsageError(f"--tol must be positive and finite, got {args.tol}")
-    settings = _settings()
     train, _, _ = _prepare(args)
-    fit = fit_dr_cvar(train, spec, settings=settings)
+    fit = fit_dr_cvar(train, spec)
     tol = args.tol * (1.0 + abs(fit.optimal_value))
     ok = fit.cross_check_gap <= tol
     doc = {
@@ -362,8 +346,6 @@ def _build_parser() -> _Parser:
     parser = _Parser(
         prog="drcvar",
         description="Distributionally robust CVaR-optimal affine estimation.",
-        epilog="Environment: DRCVAR_TOL_PROFILE={strict,fast} selects solver "
-               "tolerances.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -120,15 +120,6 @@ class FitResult:
     certificate: DualCertificate | None = None
 
 
-def default_solver_settings(profile: str = "strict") -> SolverSettings:
-    """Settings for the named tolerance profile ('strict' or 'fast')."""
-    if profile == "strict":
-        return SolverSettings()
-    if profile == "fast":
-        return SolverSettings(tol=1e-6, max_iter=100)
-    raise ValueError(f"unknown tolerance profile '{profile}'")
-
-
 def fit_dr_cvar(dist: EmpiricalDistribution, spec: RiskSpec,
                 settings: SolverSettings | None = None) -> FitResult:
     """Fit the robust CVaR-optimal affine estimator.

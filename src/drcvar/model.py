@@ -10,8 +10,11 @@ which is the quadratic form every downstream module (dual evaluation, SDP
 assembly) consumes.  All types are immutable after construction and all
 operations are pure functions.  The one exception is a memo on
 QuadraticForm: the dual path stores there the gamma-free loss terms of the
-last read-only atom array it certified, a cache that equality, repr and
-dataclasses.replace ignore.
+last read-only atom array it certified, a cache that repr and
+dataclasses.replace ignore.  The three array-holding types,
+EmpiricalDistribution, AffineEstimator and QuadraticForm, compare and hash
+by identity (``a == b`` is ``a is b``), since arrays have no single truth
+value; compare their arrays with ``np.array_equal`` for equal values.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ def _as_finite_array(a, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
     """Uniformly weighted empirical distribution of joint samples.
 
@@ -84,7 +87,7 @@ class EmpiricalDistribution:
         return self.atoms[:, self.n :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineEstimator:
     """Affine map y -> A y + b from observations to signal estimates."""
 
@@ -121,7 +124,7 @@ class AffineEstimator:
         return np.hstack([-np.eye(self.n), self.A])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticForm:
     """Symmetric quadratic z -> z'Qz + 2 q'z + c.
 
@@ -134,8 +137,8 @@ class QuadraticForm:
     terms_memo is the dual path's cache, set by
     :func:`drcvar.dual._loss_terms`: None, or the read-only atom array last
     certified with its loss terms (l0, U).  It is no part of the form's
-    value: equality and repr skip it, and dataclasses.replace starts the
-    new form without one.
+    value: repr skips it, and dataclasses.replace starts the new form
+    without one.
     """
 
     Q: np.ndarray

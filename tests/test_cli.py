@@ -175,8 +175,7 @@ class TestFitEval:
 
 
 class TestCheckDual:
-    def test_single_day_instance(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("DRCVAR_TOL_PROFILE", "strict")
+    def test_single_day_instance(self, capsys, tmp_path):
         path = tmp_path / "one.csv"
         dispatch(["gen-data", "--seed", "3", "--days", "1",
                   "--spike-prob", "0", "--out", str(path)])
@@ -212,8 +211,7 @@ class TestCheckDual:
 
 
 class TestSweep:
-    def test_sweep_outputs(self, capsys, synth_csv, tmp_path, monkeypatch):
-        monkeypatch.setenv("DRCVAR_TOL_PROFILE", "fast")
+    def test_sweep_outputs(self, capsys, synth_csv, tmp_path):
         out = tmp_path / "sweep"
         code, doc = run_cli(capsys, [
             "sweep", "--data", str(synth_csv), "--alpha", "0.5",
@@ -231,8 +229,7 @@ class TestSweep:
         saved = json.loads((tmp_path / "sweep.json").read_text())
         assert saved == doc
 
-    def test_log_grid_flags(self, capsys, synth_csv, tmp_path, monkeypatch):
-        monkeypatch.setenv("DRCVAR_TOL_PROFILE", "fast")
+    def test_log_grid_flags(self, capsys, synth_csv, tmp_path):
         code, doc = run_cli(capsys, [
             "sweep", "--data", str(synth_csv), "--alpha", "1.0",
             "--split-date", "2013-05-08", "--radii-log-from", "-1",
@@ -241,6 +238,41 @@ class TestSweep:
         assert code == EXIT_OK
         radii = sorted({r["radius"] for r in doc["rows"]})
         assert radii == pytest.approx([0.1, 1.0])
+
+
+
+def _without_solve_times(doc):
+    if isinstance(doc, dict):
+        return {k: _without_solve_times(v) for k, v in doc.items()
+                if k != "solve_time_s"}
+    if isinstance(doc, list):
+        return [_without_solve_times(v) for v in doc]
+    return doc
+
+
+class TestEnvironment:
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["fit", "--method", "dr_cvar", "--alpha", "0.5",
+                      "--radius", "0.1"], id="fit"),
+        pytest.param(["sweep", "--alpha", "0.5", "--split-date",
+                      "2013-05-08", "--radii", "0.3"], id="sweep"),
+    ])
+    def test_results_ignore_the_environment(self, capsys, synth_csv,
+                                            monkeypatch, argv):
+        # the solver settings are the library's defaults, whatever the
+        # environment holds; a former tolerance-profile variable included
+        argv = [argv[0], "--data", str(synth_csv), *argv[1:]]
+        docs = []
+        for value in (None, "fast", "bogus"):
+            if value is None:
+                monkeypatch.delenv("DRCVAR_TOL_PROFILE", raising=False)
+            else:
+                monkeypatch.setenv("DRCVAR_TOL_PROFILE", value)
+            code, doc = run_cli(capsys, argv)
+            assert code == EXIT_OK
+            docs.append(_without_solve_times(doc))
+        assert docs[1] == docs[0]
+        assert docs[2] == docs[0]
 
 
 class TestErrors:
@@ -318,7 +350,6 @@ class TestErrors:
         def fail(*args):
             raise RuntimeError(message)
 
-        monkeypatch.setenv("DRCVAR_TOL_PROFILE", "fast")
         monkeypatch.setattr(drcvar.estimate, target, fail)
         code, doc = run_cli(capsys, [command, "--data", str(synth_csv),
                                      "--alpha", "0.5", "--radius", "0.1"])
@@ -342,7 +373,6 @@ class TestErrors:
                 raise RuntimeError("injected failure")
             return real(*args)
 
-        monkeypatch.setenv("DRCVAR_TOL_PROFILE", "fast")
         monkeypatch.setattr(drcvar.estimate, target, fail_at_one)
         code, doc = run_cli(capsys, [
             "sweep", "--data", str(synth_csv), "--alpha", "0.5",
@@ -358,72 +388,67 @@ class TestErrors:
         doc = json.loads(capsys.readouterr().out)
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("argv,profile", [
-        pytest.param(["fit", "--data", "{data}", "--alpha", "2"], None,
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["fit", "--data", "{data}", "--alpha", "2"],
                      id="fit-alpha"),
-        pytest.param(["fit", "--data", "{data}", "--radius", "-1"], None,
+        pytest.param(["fit", "--data", "{data}", "--radius", "-1"],
                      id="fit-radius"),
         pytest.param(["eval", "--data", "{data}", "--estimator",
-                      "{tmp}/fit.json", "--alpha", "0"], None,
+                      "{tmp}/fit.json", "--alpha", "0"],
                      id="eval-alpha"),
         pytest.param(["sweep", "--data", "{data}", "--split-date",
-                      "2013-05-08", "--per-decade", "-1"], None,
+                      "2013-05-08", "--per-decade", "-1"],
                      id="sweep-per-decade"),
         pytest.param(["sweep", "--data", "{data}", "--split-date",
-                      "2013-05-08", "--alpha", "2", "--radii", "0.3"], None,
+                      "2013-05-08", "--alpha", "2", "--radii", "0.3"],
                      id="sweep-alpha"),
         pytest.param(["sweep", "--data", "{data}", "--split-date",
-                      "2013-05-08", "--radii", "0.3,nan"], None,
+                      "2013-05-08", "--radii", "0.3,nan"],
                      id="sweep-radii-nan"),
         pytest.param(["sweep", "--data", "{data}", "--split-date",
-                      "2013-05-08", "--radii", "0.3,big"], None,
+                      "2013-05-08", "--radii", "0.3,big"],
                      id="sweep-radii-text"),
         pytest.param(["gen-data", "--seed", "1", "--days", "0",
-                      "--out", "{tmp}/x.csv"], None, id="gen-data-days"),
-        pytest.param(["gen-data", "--seed=-1", "--out", "{tmp}/x.csv"], None,
+                      "--out", "{tmp}/x.csv"], id="gen-data-days"),
+        pytest.param(["gen-data", "--seed=-1", "--out", "{tmp}/x.csv"],
                      id="gen-data-seed"),
         *[pytest.param(["gen-data", "--seed", "1", flag, value,
-                        "--out", "{tmp}/x.csv"], None,
+                        "--out", "{tmp}/x.csv"],
                        id=f"gen-data{flag}-{value}")
           for flag, value in (("--spike-scale", "inf"),
                               ("--spike-ramp", "nan"), ("--noise", "nan"))],
-        pytest.param(["fit", "--data", "{data}", "--method", "nominal_mse"],
-                     "bogus", id="tol-profile"),
         pytest.param(["check-dual", "--data", "{data}", "--radius", "0"],
-                     None, id="check-dual-radius"),
+                     id="check-dual-radius"),
         *[pytest.param(["check-dual", "--data", "{data}", "--tol", tol],
-                       None, id=f"check-dual-tol-{tol}")
+                       id=f"check-dual-tol-{tol}")
           for tol in ("nan", "inf", "0", "-1")],
         pytest.param(["sweep", "--data", "{data}", "--split-date",
-                      "2013-05-08", "--radii-log-from", "nan"], None,
+                      "2013-05-08", "--radii-log-from", "nan"],
                      id="sweep-log-from-nan"),
         pytest.param(["sweep", "--data", "{data}", "--split-date",
-                      "2013-05-08", "--radii-log-from=-inf"], None,
+                      "2013-05-08", "--radii-log-from=-inf"],
                      id="sweep-log-from-inf"),
         pytest.param(["sweep", "--data", "{data}", "--split-date",
-                      "2013-05-08", "--radii-log-to", "nan"], None,
+                      "2013-05-08", "--radii-log-to", "nan"],
                      id="sweep-log-to-nan"),
         pytest.param(["sweep", "--data", "{data}", "--split-date",
-                      "2013-05-08", "--per-decade", "inf"], None,
+                      "2013-05-08", "--per-decade", "inf"],
                      id="sweep-per-decade-inf"),
         *[pytest.param(["sweep", "--data", "{data}", "--split-date",
-                        "2013-05-08", "--per-decade", per], None,
+                        "2013-05-08", "--per-decade", per],
                        id=f"sweep-per-decade-{per}")
           for per in ("1e300", "1e6")],
         pytest.param(["sweep", "--data", "{data}", "--split-date",
                       "2013-05-08", "--radii-log-from=-1e308",
-                      "--radii-log-to", "1e308"], None,
+                      "--radii-log-to", "1e308"],
                      id="sweep-log-span-overflow"),
         *[pytest.param(["sweep", "--data", "{data}", "--split-date",
                         "2013-05-08", "--radii", "0.3", "--threads", n],
-                       None, id=f"sweep-threads-{n}")
+                       id=f"sweep-threads-{n}")
           for n in ("0", "-3")],
     ])
     def test_out_of_range_value_is_usage_error(self, capsys, synth_csv,
-                                               tmp_path, monkeypatch, argv,
-                                               profile):
-        if profile is not None:
-            monkeypatch.setenv("DRCVAR_TOL_PROFILE", profile)
+                                               tmp_path, argv):
         argv = [a.format(data=synth_csv, tmp=tmp_path) for a in argv]
         code, doc = run_cli(capsys, argv)
         assert code == doc["exit_code"] == EXIT_USAGE

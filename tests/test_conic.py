@@ -371,6 +371,10 @@ class TestLinearAlgebra:
 
 
 class TestSettings:
+    def test_defaults(self):
+        # every CLI command and the solve digest run these settings
+        assert SolverSettings() == SolverSettings(tol=1e-8, max_iter=200)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverSettings(tol=0.0)

@@ -12,7 +12,6 @@ from drcvar.dual import worst_case_cvar, worst_case_mse_closed
 from drcvar.estimate import (
     CROSS_CHECK_TOL,
     FitError,
-    default_solver_settings,
     fit_dr_cvar,
     fit_dr_mse,
     fit_nominal_cvar,
@@ -414,12 +413,6 @@ class TestObservationSpan:
 
 
 class TestSettingsAndErrors:
-    def test_profiles(self):
-        assert default_solver_settings("strict").tol == 1e-8
-        assert default_solver_settings("fast").tol == 1e-6
-        with pytest.raises(ValueError):
-            default_solver_settings("sloppy")
-
     def test_fit_error_carries_solution(self):
         rng = np.random.default_rng(SEED + 13)
         dist = random_dist(rng, n=1, m=1, big_n=4)

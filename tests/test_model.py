@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from drcvar.estimate import fit_nominal_mse
 from drcvar.model import (
     AffineEstimator,
     EmpiricalDistribution,
@@ -57,6 +58,31 @@ class TestTypes:
         assert np.allclose(vecs.T @ vecs, np.eye(2))
         with pytest.raises(ValueError):
             lam[0] = 0.0
+
+    @pytest.mark.parametrize("make", [
+        lambda: EmpiricalDistribution(atoms=np.arange(12.0).reshape(4, 3),
+                                      n=2, m=1),
+        lambda: AffineEstimator(A=np.ones((2, 3)), b=np.zeros(2)),
+        lambda: QuadraticForm(Q=np.eye(3), q=np.ones(3), c=1.0),
+    ], ids=["distribution", "estimator", "quadratic"])
+    def test_equality_and_hash_are_identity(self, make):
+        # arrays have no single truth value, so equality is identity, and
+        # so is the hash
+        first, second = make(), make()
+        assert (first == second) is False
+        assert (first != second) is True
+        assert first == first
+        assert hash(first) == hash(first)
+        assert {first: 1, second: 2}[first] == 1
+
+    def test_fit_results_compare_to_a_bool(self):
+        rng = np.random.default_rng(SEED)
+        dist = EmpiricalDistribution(atoms=rng.standard_normal((8, 4)),
+                                     n=2, m=2)
+        first, second = fit_nominal_mse(dist), fit_nominal_mse(dist)
+        assert (first == second) is False
+        assert first == first
+        assert len({first, second}) == 2
 
     def test_risk_spec_validation(self):
         RiskSpec(alpha=1.0, radius=0.0)
